@@ -77,6 +77,7 @@ from .tilde import (
     window_fluctuation_check,
 )
 from .coupling import (
+    CoupledCapExceeded,
     CoupledRun,
     CouplingInvariantError,
     CouplingState,

@@ -46,6 +46,22 @@ class CouplingInvariantError(AssertionError):
     """A structural invariant of the joint construction failed."""
 
 
+class CoupledCapExceeded(RuntimeError):
+    """Candidate-count cap hit in the joint simulation.
+
+    Carries the time reached, the cap, and the real events and ghosts
+    (rejected thinning candidates) drawn before it was hit.
+    """
+
+    def __init__(self, t: float, event_cap: int, n_events: int, n_ghosts: int):
+        super().__init__(f"coupled event cap {event_cap} exceeded at t = {t:.6g} "
+                         f"({n_events} events, {n_ghosts} ghosts)")
+        self.t = t
+        self.event_cap = event_cap
+        self.n_events = n_events
+        self.n_ghosts = n_ghosts
+
+
 @dataclass(frozen=True)
 class CouplingState:
     """Four-component snapshot; X and X~ are derived views."""
@@ -387,7 +403,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         t = t_next
 
         if n_events + n_ghosts >= event_cap:
-            raise RuntimeError(f"coupled event cap {event_cap} exceeded at t = {t:.6g}")
+            raise CoupledCapExceeded(t, event_cap, n_events, n_ghosts)
 
         cum = np.cumsum(rates)
         u_pick = rng.random() * total

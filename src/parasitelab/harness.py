@@ -11,7 +11,8 @@ available parallelism.
 
 Exit-status contract for the certificate runner: 0 when every selected
 certificate passes, 1 on a soft certificate failure, 2 when a hard
-invariant fired (coupling invariants, thinning soundness).
+invariant fired (coupling invariants, thinning soundness) or a run could
+not complete (limit-trajectory blow-up or stiffness, an event cap).
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ode as ode_mod
-from .coupling import (CouplingInvariantError, martingale_balance_check,
-                       simulate_coupled)
+from .coupling import (CoupledCapExceeded, CouplingInvariantError,
+                       martingale_balance_check, simulate_coupled)
 from .models import (OffspringLaw, kretzschmar_modified, luchsinger_linear,
                      luchsinger_nonlinear)
-from .ode import (BlowUpError, OdeSolution, TruncationTooLarge, integrate,
-                  mild_residual, semigroup_apply)
+from .ode import (BlowUpError, OdeSolution, StiffnessError, TruncationTooLarge,
+                  integrate, mild_residual, semigroup_apply)
 from .rates import (ModelSpec, check_growth, check_lipschitz_sampled,
                     semigroup_moment)
 from .ssa import CapExceeded, simulate, sup_l1_error
@@ -43,6 +44,16 @@ from .tilde import (DominatingRateError, concentration_check,
                     mean_identity_check, moment_bound_check, simulate_tilde)
 
 WORKERS_ENV = "PARASITELAB_WORKERS"
+
+CONFIG_SECTIONS = ("model", "initial", "sim", "ode", "checks", "output")
+# accepted keys per section; the model section's keys are build_model's
+SECTION_KEYS = {
+    "initial": {"density", "family", "mean", "p", "support"},
+    "sim": {"n_list", "replicas", "horizon", "master_seed", "event_cap"},
+    "ode": {"truncation", "rtol", "atol", "blowup_factor"},
+    "checks": {"run", "replicas", "slope_band"},
+    "output": {"directory"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +83,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_keys(raw)
         sim = raw.get("sim", {})
         ode_cfg = raw.get("ode", {})
         checks = raw.get("checks", {})
@@ -114,6 +126,17 @@ class ExperimentConfig:
         payload = {k: v for k, v in self.raw.items() if k != "output"}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _check_keys(raw: dict) -> None:
+    """Reject unknown sections and unknown keys inside the checked ones."""
+    for section in raw:
+        if section not in CONFIG_SECTIONS:
+            raise ValueError(f"unknown config section {section!r}")
+    for section, allowed in SECTION_KEYS.items():
+        for key in raw.get(section, {}):
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} in config section {section!r}")
 
 
 def _initial_density(initial_cfg: dict) -> np.ndarray:
@@ -272,8 +295,8 @@ def _converge_chunk(raw_cfg: dict, N: int, reps: list[int]) -> list[tuple]:
                         blowup_cap=cap)
         sol_fixed = integrate(model, cfg.density, T, J=J, rtol=cfg.rtol,
                               atol=cfg.atol, blowup_cap=cap)
-    except BlowUpError as err:
-        return [("blowup", f"limit trajectory for N = {N}: {err}")]
+    except (BlowUpError, StiffnessError) as err:
+        return [("aborted", f"limit trajectory for N = {N}: {type(err).__name__}: {err}")]
     out = []
     for r in reps:
         seed = replica_seed(cfg.master_seed, N, r)
@@ -320,9 +343,9 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
     replica_rows = []
     aborted: dict[int, str] = {}
     for N in cfg.n_list:
-        blow = [e for e in results[N] if e[0] == "blowup"]
-        if blow:
-            aborted[N] = blow[0][1]
+        failed = [e for e in results[N] if e[0] == "aborted"]
+        if failed:
+            aborted[N] = failed[0][1]
             continue
         entries = sorted(results[N])
         errs = np.array([e[1] for e in entries if not e[4]])
@@ -436,8 +459,9 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
 
     Soft failures (an inequality misses its margin) are recorded per
     certificate; hard failures (coupling invariants, thinning
-    soundness) abort the suite and force exit status 2.  ``model``
-    overrides the config-built model (fault injection in tests).
+    soundness, a limit trajectory that blows up or stiffens, an event
+    cap) abort the suite and force exit status 2.  ``model`` overrides
+    the config-built model (fault injection in tests).
     """
     model = model or build_model(cfg.model)
     results: list[CertificateResult] = []
@@ -450,10 +474,10 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
 
     xi0 = round_initial(cfg.density, N0)
     x_rounded = xi0.to_dense().astype(np.float64) / N0
-    sol = integrate(model, x_rounded, T, J=J, rtol=cfg.rtol, atol=cfg.atol)
     e = model.interaction.envelopes
 
     try:
+        sol = integrate(model, x_rounded, T, J=J, rtol=cfg.rtol, atol=cfg.atol)
         for name in cfg.checks:
             if name == "growth":
                 rep = check_growth(model, 1000)
@@ -578,7 +602,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
             elif name == "coupling":
                 runs = [simulate_coupled(model, xi0, N0, T, sol,
                                          replica_seed(cfg.master_seed, N0, 4 * 10 ** 6 + r),
-                                         eval_times=[T])
+                                         eval_times=[T], event_cap=cfg.event_cap)
                         for r in range(max(100, cfg.check_replicas // 2))]
                 mart = martingale_balance_check(runs)
                 worst_ratio = max(r.compensator_bound_ratio for r in runs)
@@ -596,7 +620,8 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                                 for r, run in enumerate(runs)]))
             else:
                 raise ValueError(f"unknown certificate {name!r}")
-    except (DominatingRateError, CouplingInvariantError) as err:
+    except (DominatingRateError, CouplingInvariantError, BlowUpError, StiffnessError,
+            CapExceeded, CoupledCapExceeded) as err:
         hard = f"{type(err).__name__}: {err}"
 
     bundle = CertificateBundle(results, hard)

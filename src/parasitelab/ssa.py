@@ -25,6 +25,9 @@ from .rates import EventKind, ModelSpec, _check_rate
 from .state import PopulationState
 
 EVENT_CAP_DEFAULT = 10_000_000
+# query rows per density_many call in sup_l1_error: the chunk's float
+# temporaries (rows x (J + 1)) then stay within a typical L2 cache
+_SWEEP_CHUNK = 512
 
 _KIND_ORDER = (
     EventKind.BASELINE_MOVE,
@@ -261,7 +264,19 @@ class SupL1Error:
 
 def sup_l1_error(path: PathRecord, ode: OdeSolution, N: int,
                  refine: int = 256) -> SupL1Error:
-    """Approximate sup_t || N^{-1} X(t) - x(t) ||_1 along the path."""
+    """Approximate sup_t || N^{-1} X(t) - x(t) ||_1 along the path.
+
+    The path has n_jumps + 1 states; state s holds from jump s - 1 (or
+    0) to jump s (or T).  It is compared with the limit trajectory at
+    its two ends, which are the one-sided limits at the jumps, and at
+    the refinement points a + m T / refine strictly inside its interval.
+    The replay works in arrays: the count rows are a cumulative sum of
+    the per-jump +-1 deltas, and each chunk of at most about
+    ``_SWEEP_CHUNK`` query rows takes one ``density_many`` call, so
+    memory stays bounded on long paths.  The evaluation points and the
+    arithmetic are those of a scalar sweep, so the result is the same
+    bit for bit.
+    """
     if abs(path.T - ode.T) > 1e-12:
         raise ValueError(f"horizon mismatch: path T = {path.T}, ode T = {ode.T}")
     width = max(path.initial.max_load + 1, ode.J + 1,
@@ -270,44 +285,59 @@ def sup_l1_error(path: PathRecord, ode: OdeSolution, N: int,
     dense0 = path.initial.to_dense()
     counts[: dense0.size] = dense0
 
-    def err_at(t: float, counts_vec: np.ndarray) -> float:
-        x = ode.density(t)
-        diff = counts_vec.astype(np.float64) / N
-        diff[: x.size] -= x
-        return float(np.abs(diff).sum())
+    T = float(path.T)
+    n_states = path.n_jumps + 1
+    times = path.times.astype(np.float64)
+    starts = np.concatenate(([0.0], times))
+    ends = np.concatenate((times, [T]))
+    grid_gap = T / refine if refine > 0 else T
+    if grid_gap > 0:
+        n_pts = np.maximum(np.floor((ends - starts) / grid_gap), 0).astype(np.int64)
+    else:
+        n_pts = np.zeros(n_states, dtype=np.int64)
+    row_bound = np.cumsum(n_pts + 2)
 
-    grid_gap = path.T / refine if refine > 0 else path.T
-    sup = err_at(0.0, counts)
+    sup = 0.0
     max_gap = 0.0
-    prev_t = 0.0
+    s0 = 0
+    while s0 < n_states:
+        before = int(row_bound[s0 - 1]) if s0 else 0
+        s1 = max(s0 + 1, int(np.searchsorted(row_bound, before + _SWEEP_CHUNK, side="right")))
 
-    def sweep_gap(a: float, b: float, counts_vec: np.ndarray) -> None:
-        nonlocal sup, max_gap
-        if b <= a:
-            return
-        n_pts = int(np.floor((b - a) / grid_gap)) if grid_gap > 0 else 0
-        last = a
-        for m in range(1, n_pts + 1):
-            u = a + m * grid_gap
-            if u >= b:
-                break
-            sup = max(sup, err_at(u, counts_vec))
-            max_gap = max(max_gap, u - last)
-            last = u
-        max_gap = max(max_gap, b - last)
+        # count rows of states s0..s1-1, plus state s1 carried to the next chunk
+        last = min(s1, n_states - 1)
+        rows = np.zeros((last - s0 + 1, width), dtype=np.int64)
+        rows[0] = counts
+        jumps = np.arange(s0, last)
+        for loads, sign in ((path.load_from[jumps], -1), (path.load_to[jumps], 1)):
+            hit = loads >= 0
+            rows[jumps[hit] - s0 + 1, loads[hit]] += sign
+        np.cumsum(rows, axis=0, out=rows)
+        counts = rows[-1]
+        rows = rows[: s1 - s0]
 
-    for k in range(path.n_jumps):
-        tk = float(path.times[k])
-        sweep_gap(prev_t, tk, counts)
-        sup = max(sup, err_at(tk, counts))          # left limit
-        counts = _apply_event(counts, int(path.kinds[k]),
-                              int(path.load_from[k]), int(path.load_to[k]))
-        if counts.size > width:
-            width = counts.size
-        sup = max(sup, err_at(tk, counts))          # right limit
-        prev_t = tk
-    sweep_gap(prev_t, path.T, counts)
-    sup = max(sup, err_at(path.T, counts))
+        # query times per state: start, refinement points, end
+        a, b, m_max = starts[s0:s1], ends[s0:s1], n_pts[s0:s1]
+        owner = np.repeat(np.arange(s1 - s0), m_max)
+        m = np.arange(owner.size) - np.repeat(np.cumsum(m_max) - m_max, m_max) + 1
+        u = a[owner] + m * grid_gap
+        inside = u < b[owner]       # a prefix of each state's m = 1, 2, ...
+        owner, m, u = owner[inside], m[inside], u[inside]
+        per_state = np.bincount(owner, minlength=s1 - s0) + 2
+        first = np.cumsum(per_state) - per_state
+        qt = np.empty(int(per_state.sum()))
+        qt[first] = a
+        qt[first + per_state - 1] = b
+        qt[first[owner] + m] = u
+
+        x = ode.density_many(qt)
+        diff = np.repeat(rows.astype(np.float64) / N, per_state, axis=0)
+        diff[:, : x.shape[1]] -= x
+        sup = max(sup, float(np.abs(diff).sum(axis=1).max()))
+        # consecutive query times of one state are the swept gaps; across
+        # states the end of one and the start of the next coincide
+        max_gap = max(max_gap, float(np.diff(qt).max()))
+        s0 = s1
 
     slack = max_gap * ode.drift_l1_bound()
     return SupL1Error(sup, slack)

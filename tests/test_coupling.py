@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from parasitelab.coupling import (CouplingState, compensator_intensity,
+from parasitelab.coupling import (CoupledCapExceeded, CouplingState,
+                                  compensator_intensity,
                                   martingale_balance_check, simulate_coupled)
 from parasitelab.ode import integrate
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
@@ -168,3 +169,14 @@ def test_eval_times_stop_at_tau(model61):
     assert run.tau_N is not None and run.tau_N <= 0.5
     assert run.V_at[0] == run.V_at[1]
     assert run.A_at[0] == run.A_at[1]
+
+
+def test_coupled_event_cap_is_typed(model61, xi0_100, sol61_T1):
+    with pytest.raises(CoupledCapExceeded) as exc:
+        simulate_coupled(model61, xi0_100, 100, 1.0, sol61_T1, 3, event_cap=4)
+    err = exc.value
+    assert isinstance(err, RuntimeError)
+    assert err.event_cap == 4
+    assert err.n_events + err.n_ghosts == 4
+    assert 0.0 < err.t <= 1.0
+    assert "event cap 4" in str(err)

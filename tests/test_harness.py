@@ -5,14 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from parasitelab import harness
 from parasitelab.cli import main as cli_main
 from parasitelab.harness import (CertificateBundle, CertificateResult,
                                  ExperimentConfig, build_model, replica_seed,
                                  round_initial, run_certificates,
                                  run_convergence)
+from parasitelab.ode import StiffnessError
 from parasitelab.rates import Envelopes, ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import l11_norm
+
+
+# runaway births: the limit trajectory blows up before t = 1
+RUNAWAY_MODEL = {"name": "kretzschmar_modified", "nu": 1.0, "mu": 1.0,
+                 "kappa": 0.0, "alpha_extra": 0.0, "beta_birth": 8.0,
+                 "birth_discount": 1.0, "c": 1.0,
+                 "offspring": {"family": "poisson", "mean": 0.5}}
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -145,10 +154,7 @@ def test_certificates_pass_and_exit_codes(tmp_path):
 def test_blow_up_aborts_that_n_with_diagnostic(tmp_path):
     # runaway births blow the limit trajectory past a tight cap
     raw = {
-        "model": {"name": "kretzschmar_modified", "nu": 1.0, "mu": 1.0,
-                  "kappa": 0.0, "alpha_extra": 0.0, "beta_birth": 8.0,
-                  "birth_discount": 1.0, "c": 1.0,
-                  "offspring": {"family": "poisson", "mean": 0.5}},
+        "model": RUNAWAY_MODEL,
         "initial": {"density": [0.8, 0.2]},
         "sim": {"n_list": [20], "horizon": 2.0, "replicas": 3, "master_seed": 5},
         "ode": {"blowup_factor": 5.0},
@@ -230,3 +236,73 @@ def test_cli_certify_exit_code(tmp_path):
         "output": {"directory": str(tmp_path / "cert_out")},
     }))
     assert cli_main(["certify", "--config", str(cfg_path)]) == 0
+
+
+def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch):
+    # the integrator fails for N = 40 only; the other N still report
+    real_round, real_integrate = harness.round_initial, harness.integrate
+    current = {}
+
+    def spy_round(x0, N):
+        current["N"] = N
+        return real_round(x0, N)
+
+    def stiff_for_40(*args, **kwargs):
+        if current["N"] == 40:
+            raise StiffnessError("required step size is less than spacing between numbers")
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "round_initial", spy_round)
+    monkeypatch.setattr(harness, "integrate", stiff_for_40)
+    rep = run_convergence(small_config(tmp_path), workers=1, write=False)
+    assert list(rep.aborted) == [40]
+    assert "StiffnessError" in rep.aborted[40] and "step size" in rep.aborted[40]
+    assert [row.N for row in rep.rows] == [20, 80]
+    assert all(row.replicas == 8 for row in rep.rows)
+
+
+def test_certificates_hard_failure_on_coupled_event_cap(tmp_path):
+    cfg = small_config(tmp_path, sim={"event_cap": 3},
+                       checks={"run": ["growth", "coupling"], "replicas": 4})
+    bundle = run_certificates(cfg, write=True)
+    assert bundle.exit_code == 2
+    assert bundle.hard_failure.startswith("CoupledCapExceeded: coupled event cap 3")
+    assert [r.name for r in bundle.results] == ["growth"]
+    assert "hard_failure" in (cfg.out_dir / "certificates.csv").read_text()
+
+
+def test_certificates_hard_failure_on_stiffness(tmp_path, monkeypatch):
+    def stiff(*args, **kwargs):
+        raise StiffnessError("required step size is less than spacing between numbers")
+
+    monkeypatch.setattr(harness, "integrate", stiff)
+    bundle = run_certificates(small_config(tmp_path), write=False)
+    assert bundle.exit_code == 2
+    assert bundle.hard_failure.startswith("StiffnessError: required step size")
+    assert bundle.results == []
+
+
+def test_certificates_hard_failure_on_blow_up(tmp_path):
+    raw = {"model": RUNAWAY_MODEL, "initial": {"density": [0.8, 0.2]},
+           "sim": {"n_list": [20], "horizon": 2.0, "master_seed": 5},
+           "checks": {"run": ["growth"]}}
+    bundle = run_certificates(ExperimentConfig.from_dict(raw), write=False)
+    assert bundle.exit_code == 2
+    assert bundle.hard_failure.startswith("BlowUpError: blow-up at t = ")
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match="'replica'.*'sim'"):
+        small_config(tmp_path, sim={"replica": 5})
+    for section in ("ode", "checks", "output", "initial"):
+        raw = small_config(tmp_path).raw
+        raw.setdefault(section, {})["bogus"] = 1
+        with pytest.raises(ValueError, match=f"'bogus'.*'{section}'"):
+            ExperimentConfig.from_dict(raw)
+    raw = dict(small_config(tmp_path).raw, simulation={"replicas": 5})
+    with pytest.raises(ValueError, match="section 'simulation'"):
+        ExperimentConfig.from_dict(raw)
+    # model keys are left to build_model
+    raw = small_config(tmp_path).raw
+    raw["model"]["colour"] = "red"
+    assert ExperimentConfig.from_dict(raw).model["colour"] == "red"

@@ -222,3 +222,30 @@ def test_solution_csv_round_trip(tmp_path, sol61):
     first = lines[2].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(0.9)
+
+
+def _scalar_rows(sol, ts):
+    return np.stack([sol.density(float(t)) for t in ts])
+
+
+def test_density_many_matches_scalar_bit_for_bit(model61, sol61):
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([sol61.ts, [-1.0, -1e-300, 0.0, 2.0, 2.0 + 1e-12, 7.5],
+                         rng.uniform(0.0, 2.0, size=500)])
+    many = sol61.density_many(ts)
+    assert many.shape == (ts.size, sol61.J + 1)
+    assert np.array_equal(many, _scalar_rows(sol61, ts))
+    # a short horizon: few nodes and a small truncation
+    small = integrate(model61, STANDARD_X0, 0.3, J=5)
+    ts = np.concatenate([small.ts, rng.uniform(-0.1, 0.4, size=200)])
+    assert np.array_equal(small.density_many(ts), _scalar_rows(small, ts))
+    assert small.density_many([]).shape == (0, 6)
+
+
+def test_density_many_one_node_solution(model61):
+    sol = integrate(model61, STANDARD_X0, 0.0, J=7)
+    assert sol.ts.size == 1
+    ts = np.array([-2.0, 0.0, 1e-9, 3.0])
+    many = sol.density_many(ts)
+    assert many.shape == (4, 8)
+    assert np.array_equal(many, _scalar_rows(sol, ts))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, pure_death_model
+from parasitelab import ssa
 from parasitelab.ode import integrate
 from parasitelab.rates import EventKind
-from parasitelab.ssa import (CapExceeded, simulate, state_at, sup_l1_error,
+from parasitelab.ssa import (CapExceeded, PathRecord, SupL1Error, _apply_event,
+                             simulate, state_at, sup_l1_error,
                              window_transition_count)
 from parasitelab.state import PopulationState
 
@@ -160,3 +162,100 @@ def test_path_csv_dump(tmp_path, model61, xi0_100):
     assert lines[0] == f"# model=luchsinger_nonlinear N=100 T=0.5 seed=8"
     assert lines[1] == "jump_index,time,event_kind,load_from,load_to"
     assert len(lines) == 2 + path.n_jumps
+
+
+def _sup_l1_error_scalar(path, ode, N, refine=256):
+    """Reference: the event-by-event sweep with one density call per time."""
+    if abs(path.T - ode.T) > 1e-12:
+        raise ValueError(f"horizon mismatch: path T = {path.T}, ode T = {ode.T}")
+    width = max(path.initial.max_load + 1, ode.J + 1,
+                int(path.load_to.max(initial=0)) + 1)
+    counts = np.zeros(width, dtype=np.int64)
+    dense0 = path.initial.to_dense()
+    counts[: dense0.size] = dense0
+
+    def err_at(t: float, counts_vec: np.ndarray) -> float:
+        x = ode.density(t)
+        diff = counts_vec.astype(np.float64) / N
+        diff[: x.size] -= x
+        return float(np.abs(diff).sum())
+
+    grid_gap = path.T / refine if refine > 0 else path.T
+    sup = err_at(0.0, counts)
+    max_gap = 0.0
+    prev_t = 0.0
+
+    def sweep_gap(a: float, b: float, counts_vec: np.ndarray) -> None:
+        nonlocal sup, max_gap
+        if b <= a:
+            return
+        n_pts = int(np.floor((b - a) / grid_gap)) if grid_gap > 0 else 0
+        last = a
+        for m in range(1, n_pts + 1):
+            u = a + m * grid_gap
+            if u >= b:
+                break
+            sup = max(sup, err_at(u, counts_vec))
+            max_gap = max(max_gap, u - last)
+            last = u
+        max_gap = max(max_gap, b - last)
+
+    for k in range(path.n_jumps):
+        tk = float(path.times[k])
+        sweep_gap(prev_t, tk, counts)
+        sup = max(sup, err_at(tk, counts))          # left limit
+        counts = _apply_event(counts, int(path.kinds[k]),
+                              int(path.load_from[k]), int(path.load_to[k]))
+        if counts.size > width:
+            width = counts.size
+        sup = max(sup, err_at(tk, counts))          # right limit
+        prev_t = tk
+    sweep_gap(prev_t, path.T, counts)
+    sup = max(sup, err_at(path.T, counts))
+
+    slack = max_gap * ode.drift_l1_bound()
+    return SupL1Error(sup, slack)
+
+
+def _assert_sweeps_identical(path, sol, N, monkeypatch):
+    for refine in (0, 1, 64, 256):
+        ref = _sup_l1_error_scalar(path, sol, N, refine)
+        assert sup_l1_error(path, sol, N, refine) == ref, refine
+        with monkeypatch.context() as m:
+            m.setattr(ssa, "_SWEEP_CHUNK", 5)       # many chunks per path
+            assert sup_l1_error(path, sol, N, refine) == ref, refine
+
+
+def test_sup_l1_error_matches_scalar_sweep(model61, sol61_T1, monkeypatch):
+    for N in (10, 60, 300):
+        xi0 = PopulationState.from_dense(np.round(STANDARD_X0 * N).astype(np.int64))
+        for seed in (0, 1, 2):
+            path = simulate(model61, xi0, N, 1.0, seed)
+            assert path.n_jumps > 0
+            _assert_sweeps_identical(path, sol61_T1, N, monkeypatch)
+
+
+def test_sup_l1_error_zero_jumps_matches_scalar(model61, sol61_T1, monkeypatch):
+    path = simulate(model61, PopulationState.from_dict({0: 10}), 10, 1.0, 0)
+    assert path.n_jumps == 0
+    _assert_sweeps_identical(path, sol61_T1, 10, monkeypatch)
+
+
+def test_sup_l1_error_loads_above_truncation(model61_heavy, monkeypatch):
+    sol = integrate(model61_heavy, np.array([0.5, 0.5]), 1.0, J=2)
+    path = simulate(model61_heavy, PopulationState.from_dict({0: 50, 1: 50}), 100, 1.0, 3)
+    assert int(path.load_to.max()) > sol.J
+    _assert_sweeps_identical(path, sol, 100, monkeypatch)
+
+
+def test_sup_l1_error_jumps_on_grid_points(model61, sol61_T1, monkeypatch):
+    # jumps at multiples of T / 4 and T / 64, so refinement points hit them
+    xi0 = PopulationState.from_dict({0: 3, 1: 2})
+    times = np.array([0.25, 0.5, 0.5 + 1.0 / 64, 0.75, 1.0])
+    path = PathRecord(model61.name, 5, 1.0, 0, xi0, times,
+                      np.zeros(5, dtype=np.int8), np.array([1, 0, 4, 3, 0]),
+                      np.array([0, 4, 3, -1, 2]), xi0)
+    _assert_sweeps_identical(path, sol61_T1, 5, monkeypatch)
+    for refine in (4, 64, 128):
+        assert sup_l1_error(path, sol61_T1, 5, refine) == \
+            _sup_l1_error_scalar(path, sol61_T1, 5, refine)
