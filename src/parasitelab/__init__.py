@@ -3,7 +3,7 @@
 Layers, from the bottom up:
 
   - ``state``: population states, density vectors, the host/parasite norms.
-  - ``rates``: model specification, event channels, computable constants,
+  - ``rates``: model specification, rate evaluation, computable constants,
     sampled hypothesis certificates.
   - ``models``: the example model constructors and offspring laws.
   - ``ode``: the deterministic limit system and its certified solver.
@@ -29,7 +29,6 @@ from .state import (
 from .rates import (
     BaselineGenerator,
     BoundConstants,
-    Channel,
     Envelopes,
     EventKind,
     InteractionSpec,
@@ -37,10 +36,8 @@ from .rates import (
     bound_constants,
     check_growth,
     check_lipschitz_sampled,
-    enumerate_events,
     lipschitz_F,
     semigroup_moment,
-    total_rate,
 )
 from .models import (
     OffspringLaw,

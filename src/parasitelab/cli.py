@@ -5,7 +5,7 @@ Subcommands: ``simulate`` (one exact path), ``ode`` (limit trajectory),
 replicas with summary CSV), ``converge`` (the rate study) and
 ``certify`` (the certificate suite; its exit status is the pass/fail
 contract).  Every subcommand takes ``--config`` plus targeted
-overrides.
+overrides; a config that cannot be loaded exits 2 as a usage error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ def main(argv=None) -> int:
         p.add_argument("--replicas", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    cfg = _load(args)
+    try:
+        cfg = _load(args)
+    except (OSError, ValueError) as err:     # missing file, bad JSON, bad config
+        parser.error(f"config {args.config}: {err}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     stamp = f"config={cfg.config_hash()} master_seed={cfg.master_seed}"
 

@@ -37,7 +37,7 @@ from .ode import OdeSolution
 from .rates import ModelSpec, bound_constants
 from .ssa import EVENT_CAP_DEFAULT
 from .state import PopulationState
-from .tilde import DominatingRateError, _SOUNDNESS_TOL
+from .tilde import TildeRates, check_dominated
 
 _ROW_MARGIN = 40
 
@@ -86,11 +86,27 @@ class CouplingState:
         return self.Z4 + self.Z3.total_hosts
 
 
-def _alpha_abs_diff(model: ModelSpec, i: int, x: np.ndarray, y: np.ndarray,
-                    L: int) -> float:
-    rx = model.interaction.alpha_row_at(i, x, L)
-    ry = model.interaction.alpha_row_at(i, y, L)
-    return float(np.abs(rx - ry).sum())
+def _intensity(model: ModelSpec, z1: np.ndarray, x: np.ndarray, y: np.ndarray,
+               N: int, L: int) -> float:
+    """Total rate mismatch between densities x and y over the coupled pairs z1.
+
+    Target sums run over loads 0..L.
+    """
+    inter = model.interaction
+    total = 0.0
+    for i in np.nonzero(z1)[0]:
+        i = int(i)
+        if inter.alpha_loads is None or i in inter.alpha_loads:
+            rx = inter.alpha_row_at(i, x, L)
+            ry = inter.alpha_row_at(i, y, L)
+            total += z1[i] * float(np.abs(rx - ry).sum())
+        if not inter.delta_zero:
+            total += z1[i] * abs(inter.delta_at(i, x) - inter.delta_at(i, y))
+    if not inter.beta_zero:
+        bx = inter.beta_profile_at(x, L)
+        by = inter.beta_profile_at(y, L)
+        total += N * float(np.abs(bx - by).sum())
+    return total
 
 
 def compensator_intensity(model: ModelSpec, state: CouplingState, t: float,
@@ -111,20 +127,7 @@ def compensator_intensity(model: ModelSpec, state: CouplingState, t: float,
     y_raw = ode.density(t)
     y = np.zeros(width)
     y[: y_raw.size] = y_raw
-    L = width - 1 + L_margin
-    total = 0.0
-    inter = model.interaction
-    for i in np.nonzero(z1)[0]:
-        i = int(i)
-        if inter.alpha_loads is None or i in inter.alpha_loads:
-            total += z1[i] * _alpha_abs_diff(model, i, x, y, L)
-        if not inter.delta_zero:
-            total += z1[i] * abs(inter.delta_at(i, x) - inter.delta_at(i, y))
-    if not inter.beta_zero:
-        bx = inter.beta_profile_at(x, L)
-        by = inter.beta_profile_at(y, L)
-        total += N * float(np.abs(bx - by).sum())
-    return total
+    return _intensity(model, z1, x, y, N, width - 1 + L_margin)
 
 
 @dataclass
@@ -187,10 +190,9 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     seed_repr = seed if isinstance(seed, int) else -1
     inter = model.interaction
     base = model.baseline
-    e = inter.envelopes
-    alpha_dom = e.alpha_dominator(ode.G_T)
-    delta_dom = 0.0 if inter.delta_zero else e.delta_dominator(ode.G_T)
-    beta_dom = 0.0 if inter.beta_zero else e.beta_dominator(ode.G_T)
+    frozen = TildeRates(model, ode, N)
+    alpha_dom_at = frozen.alpha_dom_at
+    delta_dom, beta_dom = frozen.delta_dom, frozen.beta_dom
 
     width = max(xi0.max_load + 1, ode.J + 1)
     z1 = np.zeros(width, dtype=np.int64)
@@ -217,11 +219,6 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         n = min(raw.size, width)
         out[:n] = raw[:n]
         return out
-
-    def alpha_dom_at(i: int) -> float:
-        if inter.alpha_loads is not None and i not in inter.alpha_loads:
-            return 0.0
-        return alpha_dom
 
     # state-dependent aggregates, refreshed when X = Z1 + Z2 changes
     x = z1.astype(np.float64) / N
@@ -278,10 +275,6 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         put(_YBETA, -1, N * beta_dom)
         return codes, loads, np.array(rates)
 
-    def check_soundness(kind: str, i: int, actual: float, dom: float, t: float):
-        if actual > dom * (1.0 + _SOUNDNESS_TOL):
-            raise DominatingRateError(kind, i, actual, dom, t)
-
     def branch_rates(a: float, b: float) -> tuple[float, float, float]:
         matched = min(a, b)
         sx = max(a - b, 0.0)
@@ -305,20 +298,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0), N)
 
     def a_n_at(t: float) -> float:
-        y = y_at(t)
-        L_rows = width - 1 + _ROW_MARGIN
-        total = 0.0
-        for i in np.nonzero(z1)[0]:
-            i = int(i)
-            if inter.alpha_loads is None or i in inter.alpha_loads:
-                total += z1[i] * _alpha_abs_diff(model, i, x, y, L_rows)
-            if not inter.delta_zero:
-                total += z1[i] * abs(inter.delta_at(i, x) - inter.delta_at(i, y))
-        if not inter.beta_zero:
-            bx_prof = inter.beta_profile_at(x, L_rows)
-            by_prof = inter.beta_profile_at(y, L_rows)
-            total += N * float(np.abs(bx_prof - by_prof).sum())
-        return total
+        return _intensity(model, z1, x, y_at(t), N, width - 1 + _ROW_MARGIN)
 
     def simpson(t0: float, t1: float) -> float:
         if t1 <= t0:
@@ -427,55 +407,25 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                     comp_bound_max = math.inf
 
         if code == _Z1_BASE:
-            astar_i = base.alpha_star(i)
-            u2 = rng.random() * (astar_i + base.dbar(i))
-            targets, mrates = base.move_table(i)
-            acc = 0.0
-            chosen = None
-            for jt, r in zip(targets, mrates):
-                acc += float(r)
-                if u2 < acc:
-                    chosen = int(jt)
-                    break
-            if chosen is None and base.dbar(i) == 0.0 and targets.size:
-                chosen = int(targets[-1])
+            dbar_i = base.dbar(i)
+            chosen = base.sample_exit(i, rng.random() * (base.alpha_star(i) + dbar_i), dbar_i)
             z1[i] -= 1
-            if chosen is None:
-                x_changed = tilde_changed = True     # matched death
-            else:
+            if chosen is not None:      # otherwise a matched death
                 grow(chosen + 1)
                 z1[chosen] += 1
-                x_changed = tilde_changed = True
+            x_changed = tilde_changed = True
         elif code == _Z2_BASE:
-            astar_i = base.alpha_star(i)
-            u2 = rng.random() * (astar_i + base.dbar(i) + d_x[i])
-            targets, mrates = base.move_table(i)
-            acc = 0.0
-            chosen = None
-            for jt, r in zip(targets, mrates):
-                acc += float(r)
-                if u2 < acc:
-                    chosen = int(jt)
-                    break
-            if chosen is None and base.dbar(i) + d_x[i] == 0.0 and targets.size:
-                chosen = int(targets[-1])  # guards the last-ulp rounding gap
+            # the X-side death rate includes the excess death d_x
+            dbar_i = base.dbar(i)
+            u2 = rng.random() * (base.alpha_star(i) + dbar_i + d_x[i])
+            chosen = base.sample_exit(i, u2, dbar_i + d_x[i])
             z2[i] -= 1
             if chosen is not None:
                 grow(chosen + 1)
                 z2[chosen] += 1
             x_changed = True
         elif code == _Z3_BASE:
-            u2 = rng.random() * base.alpha_star(i)
-            targets, mrates = base.move_table(i)
-            acc = 0.0
-            chosen = None
-            for jt, r in zip(targets, mrates):
-                acc += float(r)
-                if u2 < acc:
-                    chosen = int(jt)
-                    break
-            if chosen is None:
-                chosen = int(targets[-1])
+            chosen = base.sample_exit(i, rng.random() * base.alpha_star(i), 0.0)
             z3[i] -= 1
             grow(chosen + 1)
             z3[chosen] += 1
@@ -506,7 +456,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 x_changed = tilde_changed = True
         elif code == _Z1_YALPHA:
             ay = inter.alpha_total_at(i, y_at(t))
-            check_soundness("interaction-move", i, ay, alpha_dom_at(i), t)
+            check_dominated("interaction-move", i, ay, alpha_dom_at(i), t)
             if rng.random() * alpha_dom_at(i) < ay:
                 y = y_at(t)
                 l = int(inter.alpha_sample(i, y, rng))
@@ -534,7 +484,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             x_changed = True
         elif code == _Z3_ALPHA:
             ay = inter.alpha_total_at(i, y_at(t))
-            check_soundness("interaction-move", i, ay, alpha_dom_at(i), t)
+            check_dominated("interaction-move", i, ay, alpha_dom_at(i), t)
             if rng.random() * alpha_dom_at(i) < ay:
                 l = int(inter.alpha_sample(i, y_at(t), rng))
                 grow(l + 1)
@@ -562,7 +512,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 x_changed = True
         elif code == _YBETA:
             by_tot = inter.beta_total_at(y_at(t))
-            check_soundness("immigration", -1, by_tot, beta_dom, t)
+            check_dominated("immigration", -1, by_tot, beta_dom, t)
             if rng.random() * beta_dom < by_tot:
                 y = y_at(t)
                 arr = int(inter.beta_sample(y, rng))
@@ -594,7 +544,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 x_changed = tilde_changed = True
         elif code == _Z1_YDELTA:
             dyi = inter.delta_at(i, y_at(t))
-            check_soundness("interaction-death", i, dyi, delta_dom, t)
+            check_dominated("interaction-death", i, dyi, delta_dom, t)
             if rng.random() * delta_dom < dyi:
                 dxi = d_x[i]
                 _, _, sy = branch_rates(dxi, dyi)
@@ -610,7 +560,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 ghost = True
         elif code == _Z3_DELTA:
             dyi = inter.delta_at(i, y_at(t))
-            check_soundness("interaction-death", i, dyi, delta_dom, t)
+            check_dominated("interaction-death", i, dyi, delta_dom, t)
             if rng.random() * delta_dom < dyi:
                 z3[i] -= 1
                 z4 += 1

@@ -54,6 +54,9 @@ SECTION_KEYS = {
     "checks": {"run", "replicas", "slope_band"},
     "output": {"directory"},
 }
+# the certificate names checks.run accepts, one per branch of run_certificates
+CERTIFICATES = ("growth", "lipschitz", "semigroup", "mild", "lemma_a1", "moment",
+                "mean_identity", "concentration", "first_moment", "coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,11 @@ class ExperimentConfig:
             raise ValueError("need replicas >= 1 and horizon > 0")
         density = _initial_density(raw.get("initial", {}))
         band = checks.get("slope_band", [-0.65, -0.35])
+        run = list(checks.get("run", ["growth", "lipschitz", "lemma_a1"]))
+        unknown = [name for name in run if name not in CERTIFICATES]
+        if unknown:
+            raise ValueError(f"unknown certificate(s) {unknown} in checks.run; "
+                             f"known: {', '.join(CERTIFICATES)}")
         return cls(
             raw=raw,
             model=raw.get("model", {}),
@@ -110,7 +118,7 @@ class ExperimentConfig:
             rtol=float(ode_cfg.get("rtol", 1e-6)),
             atol=float(ode_cfg.get("atol", 1e-8)),
             blowup_factor=float(ode_cfg.get("blowup_factor", 1e3)),
-            checks=list(checks.get("run", ["growth", "lipschitz", "lemma_a1"])),
+            checks=run,
             slope_band=(float(band[0]), float(band[1])),
             check_replicas=int(checks.get("replicas", 200)),
             out_dir=Path(out.get("directory", "out")),

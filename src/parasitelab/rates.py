@@ -1,4 +1,4 @@
-"""Transition-rate engine: model specification, event channels, constants.
+"""Transition-rate engine: model specification, rate evaluation, constants.
 
 A model has two layers:
 
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .state import PopulationState, l1_norm, l11_norm
+from .state import l1_norm, l11_norm
 
 
 class ModelEvaluationError(RuntimeError):
@@ -96,6 +96,24 @@ class BaselineGenerator:
     def move_table(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         self._ensure(i)
         return self._targets[i], self._rates[i]
+
+    def sample_exit(self, i: int, u: float, death: float) -> Optional[int]:
+        """Split a baseline exit of load i by one scaled uniform.
+
+        ``u`` is uniform on [0, alpha_star(i) + death): the moves fill
+        [0, alpha_star(i)) in table order and the rest is death, which
+        returns None.  With ``death == 0`` a ``u`` that lands past the
+        accumulated move rates by rounding takes the last move instead.
+        """
+        targets, rates = self.move_table(i)
+        acc = 0.0
+        for j, r in zip(targets, rates):
+            acc += float(r)
+            if u < acc:
+                return int(j)
+        if death == 0.0 and targets.size:
+            return int(targets[-1])  # guards the last-ulp rounding gap
+        return None
 
     def alpha_star(self, i: int) -> float:
         """Total baseline move rate out of load i."""
@@ -294,7 +312,7 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# event channels
+# event kinds
 # ---------------------------------------------------------------------------
 
 class EventKind(Enum):
@@ -305,76 +323,10 @@ class EventKind(Enum):
     INTERACTION_DEATH = "interaction_death"
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One aggregated event channel of the jump process.
-
-    ``load`` is the source host load (-1 for immigration).  ``target``
-    is fixed for baseline moves; interaction moves and immigration
-    resolve their target through ``sample_target`` on demand.
-    """
-
-    kind: EventKind
-    load: int
-    rate: float
-    target: Optional[int] = None
-    sample_target: Optional[Callable[[np.random.Generator], int]] = None
-
-    def resolve_target(self, rng: np.random.Generator) -> Optional[int]:
-        if self.target is not None:
-            return self.target
-        if self.sample_target is not None:
-            return self.sample_target(rng)
-        return None
-
-
 def _check_rate(kind: str, load: int, rate: float) -> float:
     if not math.isfinite(rate) or rate < 0:
         raise ModelEvaluationError(kind, load, rate)
     return rate
-
-
-def enumerate_events(model: ModelSpec, xi: PopulationState, N: int) -> list[Channel]:
-    """All event channels out of state ``xi`` with their total rates.
-
-    Covers baseline moves (one channel per stored move), baseline and
-    interaction deaths and interaction moves per occupied load, plus a
-    single immigration channel.  Zero-rate channels are omitted.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    x = xi.to_dense().astype(np.float64) / float(N)
-    inter = model.interaction
-    channels: list[Channel] = []
-    for i, count in xi:
-        targets, rates = model.baseline.move_table(i)
-        for j, r in zip(targets, rates):
-            if r > 0:
-                channels.append(Channel(EventKind.BASELINE_MOVE, i, count * float(r), target=int(j)))
-        d = model.baseline.dbar(i)
-        if d > 0:
-            channels.append(Channel(EventKind.BASELINE_DEATH, i, count * d))
-        a = _check_rate("alpha_total", i, inter.alpha_total_at(i, x))
-        if a > 0:
-            channels.append(Channel(
-                EventKind.INTERACTION_MOVE, i, count * a,
-                sample_target=lambda rng, i=i: int(inter.alpha_sample(i, x, rng)),
-            ))
-        de = _check_rate("delta", i, inter.delta_at(i, x))
-        if de > 0:
-            channels.append(Channel(EventKind.INTERACTION_DEATH, i, count * de))
-    b = _check_rate("beta_total", -1, inter.beta_total_at(x))
-    if b > 0:
-        channels.append(Channel(
-            EventKind.IMMIGRATION, -1, N * b,
-            sample_target=lambda rng: int(inter.beta_sample(x, rng)),
-        ))
-    return channels
-
-
-def total_rate(model: ModelSpec, xi: PopulationState, N: int) -> float:
-    """Total jump rate out of ``xi``; zero exactly when absorbing."""
-    return float(sum(c.rate for c in enumerate_events(model, xi, N)))
 
 
 # ---------------------------------------------------------------------------

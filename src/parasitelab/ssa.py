@@ -189,18 +189,7 @@ def simulate(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
         if kind_idx == -1:
             # split the baseline exit of load i into its moves and death
-            targets, mrates = base.move_table(i)
-            exit_rate = astar[i] + dbar[i]
-            u2 = rng.random() * exit_rate
-            acc = 0.0
-            chosen = None
-            for j, r in zip(targets, mrates):
-                acc += float(r)
-                if u2 < acc:
-                    chosen = int(j)
-                    break
-            if chosen is None and dbar[i] == 0.0 and targets.size:
-                chosen = int(targets[-1])  # guards the last-ulp rounding gap
+            chosen = base.sample_exit(i, rng.random() * (astar[i] + dbar[i]), dbar[i])
             if chosen is None:
                 kind_idx = _KIND_INDEX[EventKind.BASELINE_DEATH]
                 lf, lt = i, -1

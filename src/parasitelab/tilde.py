@@ -48,6 +48,13 @@ class DominatingRateError(RuntimeError):
             f"at load {load}, t = {t:.6g}")
 
 
+def check_dominated(kind: str, load: int, actual: float, dom: float, t: float) -> float:
+    """Return ``actual``, or raise if it exceeds its thinning dominator."""
+    if actual > dom * (1.0 + _SOUNDNESS_TOL):
+        raise DominatingRateError(kind, load, actual, dom, t)
+    return actual
+
+
 @dataclass
 class TildeRates:
     """Interaction rates frozen at the limit trajectory, plus dominators.
@@ -56,7 +63,8 @@ class TildeRates:
     at zero and scaled by the trajectory's sup host norm; structural
     zeros (loads without interaction moves, models without excess death
     or immigration) get zero dominators, which keeps thinning free for
-    those channels.
+    those channels.  ``simulate_coupled`` thins its trajectory-frozen
+    side against these same dominators.
     """
 
     model: ModelSpec
@@ -81,22 +89,15 @@ class TildeRates:
 
     def alpha_total_at(self, i: int, t: float) -> float:
         a = self.model.interaction.alpha_total_at(i, self.density(t))
-        dom = self.alpha_dom_at(i)
-        if a > dom * (1.0 + _SOUNDNESS_TOL):
-            raise DominatingRateError("interaction-move", i, a, dom, t)
-        return a
+        return check_dominated("interaction-move", i, a, self.alpha_dom_at(i), t)
 
     def delta_at(self, i: int, t: float) -> float:
         d = self.model.interaction.delta_at(i, self.density(t))
-        if d > self.delta_dom * (1.0 + _SOUNDNESS_TOL):
-            raise DominatingRateError("interaction-death", i, d, self.delta_dom, t)
-        return d
+        return check_dominated("interaction-death", i, d, self.delta_dom, t)
 
     def beta_total_at(self, t: float) -> float:
         b = self.model.interaction.beta_total_at(self.density(t))
-        if b > self.beta_dom * (1.0 + _SOUNDNESS_TOL):
-            raise DominatingRateError("immigration", -1, b, self.beta_dom, t)
-        return b
+        return check_dominated("immigration", -1, b, self.beta_dom, t)
 
 
 @dataclass
@@ -139,16 +140,7 @@ def simulate_individual(rates: TildeRates, i0: int, t0: float, T: float,
             break
         u = rng.random() * dom
         if u < astar:
-            targets, mrates = base.move_table(i)
-            acc = 0.0
-            chosen = None
-            for jt, r in zip(targets, mrates):
-                acc += float(r)
-                if u < acc:
-                    chosen = int(jt)
-                    break
-            if chosen is None:
-                chosen = int(targets[-1])  # guards the last-ulp rounding gap
+            chosen = base.sample_exit(i, u, 0.0)
             path.events.append((t, _KIND_INDEX[EventKind.BASELINE_MOVE], i, chosen))
             i = chosen
         elif u < astar + dbar:

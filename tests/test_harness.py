@@ -306,3 +306,33 @@ def test_config_rejects_unknown_keys(tmp_path):
     raw = small_config(tmp_path).raw
     raw["model"]["colour"] = "red"
     assert ExperimentConfig.from_dict(raw).model["colour"] == "red"
+
+
+def test_config_rejects_unknown_certificate(tmp_path):
+    with pytest.raises(ValueError, match="'momnet'"):
+        small_config(tmp_path, checks={"run": ["growth", "momnet"]})
+    every = small_config(tmp_path, checks={"run": list(harness.CERTIFICATES)})
+    assert tuple(every.checks) == harness.CERTIFICATES
+
+
+def test_cli_config_errors_exit_2(tmp_path, capsys):
+    bad_name = small_config(tmp_path).raw
+    bad_name["checks"]["run"] = ["growth", "momnet"]
+    cases = {
+        "missing.json": None,
+        "broken.json": "{\"model\": ",
+        "bad_name.json": json.dumps(bad_name),
+    }
+    for fname, text in cases.items():
+        path = tmp_path / fname
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["certify", "--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [ln for ln in err.splitlines() if ln.startswith("parasitelab")]
+        assert len(error_lines) == 1 and fname in error_lines[0]
+        assert "Traceback" not in err
+    assert "momnet" in error_lines[0]
+    assert not (tmp_path / "out").exists()

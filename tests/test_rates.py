@@ -8,61 +8,104 @@ from parasitelab import OffspringLaw, luchsinger_nonlinear
 from parasitelab.rates import (BaselineGenerator, EventKind,
                                LipschitzSampleConfig, ModelSpec,
                                bound_constants, check_growth,
-                               check_lipschitz_sampled, enumerate_events,
-                               lipschitz_F, semigroup_moment, total_rate)
+                               check_lipschitz_sampled, lipschitz_F,
+                               semigroup_moment)
+from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
 
 
-def test_enumerate_events_empty_state(model61):
-    assert enumerate_events(model61, PopulationState.empty(), 5) == []
-    assert total_rate(model61, PopulationState.empty(), 5) == 0.0
+def test_simulate_empty_state_never_jumps(model61):
+    # the empty state is absorbing: its total jump rate is zero
+    path = simulate(model61, PopulationState.empty(), 5, 1.0, 0)
+    assert path.n_jumps == 0 and path.final == PopulationState.empty()
 
 
-def test_enumerate_events_single_pure_death():
+def test_simulate_single_pure_death():
     pd = pure_death_model(mu=0.7)
-    chans = enumerate_events(pd, PopulationState.from_dict({1: 1}), 1)
-    assert len(chans) == 1
-    c = chans[0]
-    assert c.kind is EventKind.BASELINE_MOVE and c.load == 1 and c.target == 0
-    assert c.rate == pytest.approx(0.7)
+    path = simulate(pd, PopulationState.from_dict({1: 1}), 1, 100.0, 4)
+    assert path.n_jumps == 1
+    assert path.kind(0) is EventKind.BASELINE_MOVE
+    assert (path.load_from[0], path.load_to[0]) == (1, 0)
+    # the single channel's rate is mu: the waiting time is Exp(0.7) on the same stream
+    assert path.times[0] == np.random.default_rng(4).exponential(1.0 / 0.7)
 
 
-def test_enumerate_events_nonlinear_example():
+def test_nonlinear_example_rates():
     # one healthy host and one 2-host at N = 2, point-mass transmission:
     # the 2-host moves 2->1 at 2 mu and catastrophes at kappa, the healthy
     # host is infected at lam x^2 (1 - p_{20})
     lam, mu, kappa = 0.5, 1.0, 0.5
     m = luchsinger_nonlinear(lam, mu, kappa, OffspringLaw.point_mass(1))
+    base, inter = m.baseline, m.interaction
+    targets, rates = base.move_table(2)
+    assert dict(zip(targets.tolist(), rates.tolist())) == pytest.approx({1: 2 * mu, 0: kappa})
+    assert base.move_table(0)[0].size == 0
+    assert base.dbar(0) == base.dbar(2) == 0.0
     xi = PopulationState.from_dict({0: 1, 2: 1})
-    chans = enumerate_events(m, xi, 2)
-    rates = {(c.kind, c.load, c.target): c.rate for c in chans}
-    assert rates[(EventKind.BASELINE_MOVE, 2, 1)] == pytest.approx(2 * mu)
-    assert rates[(EventKind.BASELINE_MOVE, 2, 0)] == pytest.approx(kappa)
-    assert rates[(EventKind.INTERACTION_MOVE, 0, None)] == pytest.approx(lam * 0.5)
-    assert len(chans) == 3
-    assert total_rate(m, xi, 2) == pytest.approx(2 * mu + kappa + lam * 0.5)
+    x = xi.to_dense() / 2.0
+    assert inter.alpha_total_at(0, x) == pytest.approx(lam * 0.5)
+    assert inter.alpha_total_at(2, x) == 0.0
+    assert inter.delta_at(0, x) == inter.delta_at(2, x) == 0.0
+    assert inter.beta_total_at(x) == 0.0
+    # nothing else fires: the SSA's first waiting time is at exactly that total
+    total = 2 * mu + kappa + lam * 0.5
+    assert simulate(m, xi, 2, 100.0, 9).times[0] == pytest.approx(
+        np.random.default_rng(9).exponential(1.0 / total), rel=1e-12)
 
 
 def test_total_rate_linear_in_counts(model61):
-    # doubling counts and N keeps the density fixed and doubles every channel
+    # doubling counts and N keeps the density fixed and doubles every channel,
+    # so the first waiting time on the same stream halves
     xi = PopulationState.from_dict({0: 3, 1: 2, 3: 1})
     xi2 = PopulationState.from_dict({0: 6, 1: 4, 3: 2})
-    assert total_rate(model61, xi2, 12) == pytest.approx(
-        2 * total_rate(model61, xi, 6))
+    t1 = simulate(model61, xi, 6, 100.0, 5).times[0]
+    t2 = simulate(model61, xi2, 12, 100.0, 5).times[0]
+    assert t2 == pytest.approx(t1 / 2, rel=1e-12)
 
 
 def test_total_rate_pure_death_k_hosts():
     pd = pure_death_model(mu=1.0)
-    assert total_rate(pd, PopulationState.from_dict({1: 7}), 7) == pytest.approx(7.0)
+    path = simulate(pd, PopulationState.from_dict({1: 7}), 7, 100.0, 6)
+    assert path.times[0] == np.random.default_rng(6).exponential(1.0 / 7.0)
+    assert path.n_jumps == 7 and path.final == PopulationState.from_dict({0: 7})
 
 
 def test_interaction_target_sampling(model_tiny):
-    xi = PopulationState.from_dict({0: 1, 2: 1})
-    chans = enumerate_events(model_tiny, xi, 2)
-    move = [c for c in chans if c.kind is EventKind.INTERACTION_MOVE][0]
+    x = PopulationState.from_dict({0: 1, 2: 1}).to_dense() / 2.0
     rng = np.random.default_rng(0)
     # point-mass transmission from the only infected host (load 2) is always 2
-    assert all(move.resolve_target(rng) == 2 for _ in range(20))
+    assert all(model_tiny.interaction.alpha_sample(0, x, rng) == 2 for _ in range(20))
+
+
+def _exit_table() -> BaselineGenerator:
+    # load 3: moves to 0, 2, 4 at 0.5, 1.0, 0.25 and death at 0.75;
+    # load 5: a single move at 0.1, no death
+    def moves(i):
+        return {3: ((0, 0.5), (2, 1.0), (4, 0.25)), 5: ((4, 0.1),)}.get(i, ())
+
+    return BaselineGenerator(moves, lambda i: 0.75 if i == 3 else 0.0, m1=3.0, m2=1.0)
+
+
+def test_sample_exit_cumulative_intervals():
+    base = _exit_table()
+    # [0, 0.5) -> 0, [0.5, 1.5) -> 2, [1.5, 1.75) -> 4, [1.75, 2.5) is death
+    for u, want in ((0.0, 0), (0.49, 0), (0.5, 2), (1.2, 2), (1.5, 4), (1.74, 4)):
+        assert base.sample_exit(3, u, base.dbar(3)) == want
+    for u in (base.alpha_star(3), 2.0, 2.49):
+        assert base.sample_exit(3, u, base.dbar(3)) is None
+    # no moves and no death: nothing to return
+    assert base.sample_exit(0, 0.0, 0.0) is None
+
+
+def test_sample_exit_without_death_always_moves():
+    base = _exit_table()
+    for i in (3, 5):
+        top = base.alpha_star(i)
+        last = int(base.move_table(i)[0][-1])
+        # just below alpha_star, and at alpha_star itself (a scaled uniform can
+        # round up to it), the last move is taken, never death
+        assert base.sample_exit(i, math.nextafter(top, 0.0), 0.0) == last
+        assert base.sample_exit(i, top, 0.0) == last
 
 
 def test_lipschitz_F_examples():
@@ -185,7 +228,7 @@ def test_nonfinite_rate_reported_with_load_and_kind():
         alpha_loads=frozenset())
     m = ModelSpec("nan-delta", pd.baseline, inter)
     with pytest.raises(ModelEvaluationError) as exc:
-        enumerate_events(m, PopulationState.from_dict({2: 1}), 1)
+        simulate(m, PopulationState.from_dict({2: 1}), 1, 1.0, 0)
     assert exc.value.kind == "delta" and exc.value.load == 2
 
 
