@@ -27,6 +27,7 @@ errors, never report items: sum(Z2) <= Z4 + sum(Z3), and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -87,23 +88,29 @@ class CouplingState:
 
 
 def _intensity(model: ModelSpec, z1: np.ndarray, x: np.ndarray, y: np.ndarray,
-               N: int, L: int) -> float:
+               N: int, L: int, x_rows: Optional[dict] = None) -> float:
     """Total rate mismatch between densities x and y over the coupled pairs z1.
 
-    Target sums run over loads 0..L.
+    Target sums run over loads 0..L.  ``x_rows`` keeps the x-side rows
+    (key -1: immigration) across calls until the caller empties it.
     """
     inter = model.interaction
+    x_rows = {} if x_rows is None else x_rows
     total = 0.0
     for i in np.nonzero(z1)[0]:
         i = int(i)
         if inter.alpha_loads is None or i in inter.alpha_loads:
-            rx = inter.alpha_row_at(i, x, L)
+            rx = x_rows.get(i)
+            if rx is None:
+                rx = x_rows[i] = inter.alpha_row_at(i, x, L)
             ry = inter.alpha_row_at(i, y, L)
             total += z1[i] * float(np.abs(rx - ry).sum())
         if not inter.delta_zero:
             total += z1[i] * abs(inter.delta_at(i, x) - inter.delta_at(i, y))
     if not inter.beta_zero:
-        bx = inter.beta_profile_at(x, L)
+        bx = x_rows.get(-1)
+        if bx is None:
+            bx = x_rows[-1] = inter.beta_profile_at(x, L)
         by = inter.beta_profile_at(y, L)
         total += N * float(np.abs(bx - by).sum())
     return total
@@ -182,7 +189,10 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     branch uniform deciding matched versus surplus.  tau is detected
     after every event touching the independent side and at the solver
     nodes between events; the compensator integral uses three-point
-    Simpson quadrature on every inter-candidate interval.
+    Simpson quadrature on every inter-candidate interval.  The padded
+    limit density and the compensator intensity are memoized per time,
+    and the intensity's X-side rows per load; every real event and every
+    growth of the load arrays clears them, a ghost changes nothing.
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
@@ -212,12 +222,15 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             a_x = np.concatenate([a_x, np.zeros(pad)])
             d_x = np.concatenate([d_x, np.zeros(pad)])
             width = n
+            forget()
 
+    @functools.cache
     def y_at(t: float) -> np.ndarray:
         out = np.zeros(width)
         raw = ode.density(t)
         n = min(raw.size, width)
         out[:n] = raw[:n]
+        out.setflags(write=False)   # shared by every caller at this t
         return out
 
     # state-dependent aggregates, refreshed when X = Z1 + Z2 changes
@@ -297,8 +310,17 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     # two-factor compensator bound constants
     bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0), N)
 
+    x_rows: dict = {}
+
+    @functools.cache
     def a_n_at(t: float) -> float:
-        return _intensity(model, z1, x, y_at(t), N, width - 1 + _ROW_MARGIN)
+        return _intensity(model, z1, x, y_at(t), N, width - 1 + _ROW_MARGIN, x_rows)
+
+    def forget():
+        # a ghost changes none of what the memos depend on
+        y_at.cache_clear()
+        a_n_at.cache_clear()
+        x_rows.clear()
 
     def simpson(t0: float, t1: float) -> float:
         if t1 <= t0:
@@ -366,16 +388,12 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 next_eval += 1
             if tau is None:
                 A_cum += simpson(seg_start, u)
-                ex, et = err_x(u), err_tilde(u)
-                sup_ex = max(sup_ex, ex)
-                sup_et = max(sup_et, et)
-                if et >= 1.0:
-                    tau = u
-                    V_tau = V
-            else:
-                ex, et = err_x(u), err_tilde(u)
-                sup_ex = max(sup_ex, ex)
-                sup_et = max(sup_et, et)
+            ex, et = err_x(u), err_tilde(u)
+            sup_ex = max(sup_ex, ex)
+            sup_et = max(sup_et, et)
+            if tau is None and et >= 1.0:
+                tau = u
+                V_tau = V
             seg_start = u
 
         if t_next > T:
@@ -573,6 +591,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             continue
 
         n_events += 1
+        forget()
         if x_changed:
             refresh_x()
         assert_invariants()
@@ -589,12 +608,8 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
     # evaluation times beyond the last event but within [0, T]
     while next_eval < eval_times.size:
-        if tau is not None:
-            V_at[next_eval] = V_tau
-            A_at[next_eval] = A_cum
-        else:
-            V_at[next_eval] = V
-            A_at[next_eval] = A_cum
+        V_at[next_eval] = V if tau is None else V_tau
+        A_at[next_eval] = A_cum
         next_eval += 1
 
     final = CouplingState(

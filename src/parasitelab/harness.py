@@ -46,7 +46,7 @@ from .tilde import (DominatingRateError, concentration_check,
 WORKERS_ENV = "PARASITELAB_WORKERS"
 
 CONFIG_SECTIONS = ("model", "initial", "sim", "ode", "checks", "output")
-# accepted keys per section; the model section's keys are build_model's
+# accepted keys per section; the model section is checked by _check_model
 SECTION_KEYS = {
     "initial": {"density", "family", "mean", "p", "support"},
     "sim": {"n_list", "replicas", "horizon", "master_seed", "event_cap"},
@@ -54,6 +54,15 @@ SECTION_KEYS = {
     "checks": {"run", "replicas", "slope_band"},
     "output": {"directory"},
 }
+# required and optional parameters per model name, and the one parameter
+# of each offspring family (the offspring section itself is optional)
+MODEL_KEYS = {"luchsinger_nonlinear": ({"lam", "mu", "kappa"}, set()),
+              "luchsinger_linear": ({"lam", "mu", "kappa"}, set()),
+              "kretzschmar_modified": ({"nu", "mu", "kappa", "c"},
+                                       {"alpha_extra", "beta_birth", "birth_discount"})}
+OFFSPRING_KEYS = {"point_mass": "value", "poisson": "mean", "geometric": "p",
+                  "table": "probs"}
+DEFAULT_OFFSPRING = {"family": "poisson", "mean": 1.0}
 # the certificate names checks.run accepts, one per branch of run_certificates
 CERTIFICATES = ("growth", "lipschitz", "semigroup", "mild", "lemma_a1", "moment",
                 "mean_identity", "concentration", "first_moment", "coupling")
@@ -86,7 +95,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys(raw)
+        for section in raw:
+            if section not in CONFIG_SECTIONS:
+                raise ValueError(f"unknown config section {section!r}")
+        for section, allowed in SECTION_KEYS.items():
+            _check_keys(f"config section {section!r}", raw.get(section, {}), allowed)
+        _check_model(raw.get("model", {}))
         sim = raw.get("sim", {})
         ode_cfg = raw.get("ode", {})
         checks = raw.get("checks", {})
@@ -136,15 +150,30 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _check_keys(raw: dict) -> None:
-    """Reject unknown sections and unknown keys inside the checked ones."""
-    for section in raw:
-        if section not in CONFIG_SECTIONS:
-            raise ValueError(f"unknown config section {section!r}")
-    for section, allowed in SECTION_KEYS.items():
-        for key in raw.get(section, {}):
-            if key not in allowed:
-                raise ValueError(f"unknown key {key!r} in config section {section!r}")
+def _check_keys(where: str, cfg: dict, allowed, required=()) -> None:
+    """Reject keys of ``cfg`` outside ``allowed`` and absent ``required`` ones."""
+    for key in cfg:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    for key in sorted(required):
+        if key not in cfg:
+            raise ValueError(f"missing key {key!r} in {where}")
+
+
+def _check_model(model_cfg: dict) -> None:
+    """Reject an unknown model or offspring family and unknown or missing keys."""
+    name = model_cfg.get("name")
+    if name not in MODEL_KEYS:
+        raise ValueError(f"unknown model {name!r}; known: {', '.join(MODEL_KEYS)}")
+    required, optional = MODEL_KEYS[name]
+    _check_keys(f"model {name!r}", model_cfg, required | optional | {"name", "offspring"},
+                required)
+    off = model_cfg.get("offspring", DEFAULT_OFFSPRING)
+    fam = off.get("family")
+    if fam not in OFFSPRING_KEYS:
+        raise ValueError(f"unknown offspring family {fam!r}; known: {', '.join(OFFSPRING_KEYS)}")
+    _check_keys(f"offspring family {fam!r}", off, {"family", OFFSPRING_KEYS[fam]},
+                {OFFSPRING_KEYS[fam]})
 
 
 def _initial_density(initial_cfg: dict) -> np.ndarray:
@@ -167,32 +196,29 @@ def _initial_density(initial_cfg: dict) -> np.ndarray:
 
 def build_model(model_cfg: dict) -> ModelSpec:
     """Construct a model from its config section."""
-    name = model_cfg.get("name")
-    off = model_cfg.get("offspring", {"family": "poisson", "mean": 1.0})
-    fam = off.get("family")
+    _check_model(model_cfg)
+    name = model_cfg["name"]
+    off = model_cfg.get("offspring", DEFAULT_OFFSPRING)
+    fam = off["family"]
     if fam == "point_mass":
         law = OffspringLaw.point_mass(int(off["value"]))
     elif fam == "poisson":
         law = OffspringLaw.poisson(float(off["mean"]))
     elif fam == "geometric":
         law = OffspringLaw.geometric(float(off["p"]))
-    elif fam == "table":
-        law = OffspringLaw.table(off["probs"])
     else:
-        raise ValueError(f"unknown offspring family {fam!r}")
+        law = OffspringLaw.table(off["probs"])
     if name == "luchsinger_nonlinear":
         return luchsinger_nonlinear(float(model_cfg["lam"]), float(model_cfg["mu"]),
                                     float(model_cfg["kappa"]), law)
     if name == "luchsinger_linear":
         return luchsinger_linear(float(model_cfg["lam"]), float(model_cfg["mu"]),
                                  float(model_cfg["kappa"]), law)
-    if name == "kretzschmar_modified":
-        return kretzschmar_modified(
-            float(model_cfg["nu"]), law, float(model_cfg["mu"]),
-            float(model_cfg["kappa"]), float(model_cfg.get("alpha_extra", 0.0)),
-            float(model_cfg.get("beta_birth", 0.0)),
-            float(model_cfg.get("birth_discount", 1.0)), float(model_cfg["c"]))
-    raise ValueError(f"unknown model {name!r}")
+    return kretzschmar_modified(
+        float(model_cfg["nu"]), law, float(model_cfg["mu"]),
+        float(model_cfg["kappa"]), float(model_cfg.get("alpha_extra", 0.0)),
+        float(model_cfg.get("beta_birth", 0.0)),
+        float(model_cfg.get("birth_discount", 1.0)), float(model_cfg["c"]))
 
 
 def replica_seed(master_seed: int, N: int, replica: int) -> np.random.SeedSequence:

@@ -159,15 +159,8 @@ class OffspringLaw:
         return cache[: i_max + 1, : L + 1]
 
     def conv_pmf_at(self, i: int, l: int) -> float:
-        if i == 0:
-            return 1.0 if l == 0 else 0.0
-        if self.family == "point_mass":
-            return 1.0 if l == i * self.value else 0.0
-        if self.family == "poisson":
-            return float(stats.poisson.pmf(l, i * self.rate))
-        if self.family == "geometric":
-            return float(stats.nbinom.pmf(l, i, self.p))
-        return float(self.conv_pmf(i, l)[l])
+        """Entry (i, l) of ``conv_matrix``, read from its cached table."""
+        return float(self.conv_matrix(i, l)[i, l])
 
     def weighted_tail(self, i: int, L: int) -> float:
         """Upper bound on sum_{l > L} (l + 1) * conv_pmf(i)[l].

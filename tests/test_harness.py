@@ -302,10 +302,46 @@ def test_config_rejects_unknown_keys(tmp_path):
     raw = dict(small_config(tmp_path).raw, simulation={"replicas": 5})
     with pytest.raises(ValueError, match="section 'simulation'"):
         ExperimentConfig.from_dict(raw)
-    # model keys are left to build_model
+    # the model section is checked too
     raw = small_config(tmp_path).raw
     raw["model"]["colour"] = "red"
-    assert ExperimentConfig.from_dict(raw).model["colour"] == "red"
+    with pytest.raises(ValueError, match="'colour'.*'luchsinger_nonlinear'"):
+        ExperimentConfig.from_dict(raw)
+
+
+KRETZSCHMAR = {"name": "kretzschmar_modified", "nu": 1.5, "mu": 1.0, "kappa": 0.3,
+               "c": 1.0, "offspring": {"family": "geometric", "p": 0.5}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"name": "luchsinger_nonlinaer"}, "unknown model 'luchsinger_nonlinaer'"),
+    ({"beta_brith": 0.5}, "unknown key 'beta_brith' in model 'kretzschmar_modified'"),
+    ({"kappa": None}, "missing key 'kappa' in model 'kretzschmar_modified'"),
+    ({"offspring": {"family": "binomial", "n": 3}}, "unknown offspring family 'binomial'"),
+    ({"offspring": {"family": "geometric", "mean": 0.5}},
+     "unknown key 'mean' in offspring family 'geometric'"),
+    ({"offspring": {"family": "table"}}, "missing key 'probs' in offspring family 'table'"),
+])
+def test_config_rejects_bad_model_section(tmp_path, change, message):
+    model = {k: v for k, v in {**KRETZSCHMAR, **change}.items() if v is not None}
+    raw = dict(small_config(tmp_path).raw, model=model)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match=message):
+        build_model(model)
+
+
+def test_config_accepts_every_model_form(tmp_path):
+    forms = [KRETZSCHMAR, dict(KRETZSCHMAR, alpha_extra=0.2, beta_birth=0.5,
+                               birth_discount=0.9),
+             {"name": "luchsinger_linear", "lam": 1.0, "mu": 1.0, "kappa": 0.5},
+             {"name": "luchsinger_nonlinear", "lam": 1.0, "mu": 1.0, "kappa": 1.0,
+              "offspring": {"family": "point_mass", "value": 2}},
+             {"name": "luchsinger_nonlinear", "lam": 1.0, "mu": 1.0, "kappa": 1.0,
+              "offspring": {"family": "table", "probs": [0.5, 0.5]}}]
+    for model in forms:
+        cfg = ExperimentConfig.from_dict(dict(small_config(tmp_path).raw, model=model))
+        assert build_model(cfg.model).name == model["name"]
 
 
 def test_config_rejects_unknown_certificate(tmp_path):
@@ -335,4 +371,24 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert len(error_lines) == 1 and fname in error_lines[0]
         assert "Traceback" not in err
     assert "momnet" in error_lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_model_section_exits_2(tmp_path, capsys):
+    # a misspelled model name and a missing parameter are usage errors,
+    # reported before any certificate runs
+    bad_name = small_config(tmp_path).raw
+    bad_name["model"]["name"] = "luchsinger_nonlinaer"
+    no_kappa = small_config(tmp_path).raw
+    del no_kappa["model"]["kappa"]
+    for fname, raw, word in (("bad_model.json", bad_name, "luchsinger_nonlinaer"),
+                             ("no_kappa.json", no_kappa, "'kappa'")):
+        path = tmp_path / fname
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["certify", "--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert word in err.splitlines()[-1] and fname in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()

@@ -32,6 +32,38 @@ def test_conv_p0_and_pmf_consistency(law):
         assert law.conv_pmf_at(i, 3) == pytest.approx(law.conv_pmf(i, 5)[3], abs=1e-12)
 
 
+def _conv_pmf_at_scalar(law, i, l):
+    # the per-family scalar expressions conv_pmf_at evaluated before it
+    # read its entry from the cached conv_matrix table
+    if i == 0:
+        return 1.0 if l == 0 else 0.0
+    if law.family == "point_mass":
+        return 1.0 if l == i * law.value else 0.0
+    if law.family == "poisson":
+        return float(stats.poisson.pmf(l, i * law.rate))
+    if law.family == "geometric":
+        return float(stats.nbinom.pmf(l, i, law.p))
+    return float(law.conv_pmf(i, l)[l])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OffspringLaw.poisson(0.6), lambda: OffspringLaw.poisson(2.5),
+    lambda: OffspringLaw.geometric(0.4), lambda: OffspringLaw.geometric(0.9),
+    lambda: OffspringLaw.point_mass(2), lambda: OffspringLaw.table([0.2, 0.5, 0.3]),
+], ids=["poisson0.6", "poisson2.5", "geometric0.4", "geometric0.9", "point_mass",
+        "table"])
+def test_conv_pmf_at_matches_scalar_bit_for_bit(make):
+    law, ref_law = make(), make()
+    # l outermost: the first pass grows the cached table row by row, every
+    # later pass by one column
+    pairs = [(i, l) for l in range(100) for i in range(30)]
+    got = np.array([law.conv_pmf_at(i, l) for i, l in pairs])
+    ref = np.array([_conv_pmf_at_scalar(ref_law, i, l) for i, l in pairs])
+    assert law._matrix_cache.shape == (30, 100)
+    assert got.tobytes() == ref.tobytes(), \
+        [p for p, a, b in zip(pairs, got, ref) if a.tobytes() != b.tobytes()][:5]
+
+
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.family)
 def test_conv_sampler_matches_pmf(law):
     # chi-square of the i-fold offspring-sum sampler at the 1% level

@@ -6,6 +6,8 @@ example model at one N, over several seeds: the ``PathRecord`` arrays of
 sup errors, event and ghost counts, the recorded V trajectory and the
 final four-component state of ``simulate_coupled``; and
 ``compensator_intensity`` at the initial and final coupled states.  A
+second coupled case also hashes the compensator bound ratio on runs that
+grow their load arrays and reach tau before the horizon.  A
 refactor that claims to change no output must leave every digest as it
 is.  A digest may change only together with a CHANGES.md entry that
 declares which random stream changed and why.
@@ -122,3 +124,38 @@ def stream_digests(name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stream_digests(name):
     assert stream_digests(name) == EXPECTED[name]
+
+
+# coupled runs on a coarse truncation J at small N, chosen so that the
+# load arrays grow past their initial width and tau is reached before T,
+# with evaluation times on both sides of tau
+GROW_TAU_CASES = {
+    "kretzschmar_modified": (
+        lambda: kretzschmar_modified(3.0, OffspringLaw.poisson(2.0), 1.0, 0.3, 0.2,
+                                     beta_birth=1.0, birth_discount=0.9, c=1.0),
+        [0.5, 0.3, 0.2], 2, 1,
+        "1068bb594765ded9fa1c2019fcc1a6fa40dd262f4eed448b5c1a00a8ecb88cb1"),
+    "luchsinger_linear": (
+        lambda: luchsinger_linear(2.0, 1.0, 0.5, OffspringLaw.poisson(2.0)),
+        [0.0, 0.5, 0.5], 3, 2,
+        "b9e05b33a824269a9722ac2382a6dccc97e1ffb42451e9f27fd6214746a7277d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROW_TAU_CASES))
+def test_coupled_stream_grows_and_stops(name):
+    make, x0, J, seed, expected = GROW_TAU_CASES[name]
+    model, N = make(), 8
+    xi0 = round_initial(np.array(x0), N)
+    sol = integrate(model, xi0.to_dense().astype(np.float64) / N, T, J=J)
+    run = simulate_coupled(model, xi0, N, T, sol, seed,
+                           eval_times=(0.2, 0.5, 0.75, 1.0), record_trajectory=True)
+    f = run.final
+    width0 = max(xi0.max_load + 1, sol.J + 1)
+    assert max(f.Z1.max_load, f.Z2.max_load, f.Z3.max_load) + 1 > width0
+    assert run.tau_N is not None and run.tau_N < T
+    h = hashlib.sha256()
+    _update(h, *_coupled_parts(run), run.compensator_bound_ratio,
+            run.compensator_bound_checked,
+            *[compensator_intensity(model, f, t, N, sol) for t in (0.0, T / 2, T)])
+    assert h.hexdigest() == expected
