@@ -18,10 +18,12 @@ not complete (limit-trajectory blow-up or stiffness, an event cap).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +114,12 @@ class ExperimentConfig:
         horizon = float(sim.get("horizon", 1.0))
         if replicas < 1 or horizon <= 0:
             raise ValueError("need replicas >= 1 and horizon > 0")
+        event_cap = int(sim.get("event_cap", 10_000_000))
+        check_replicas = int(checks.get("replicas", 200))
+        for key, value in (("sim.n_list", min(n_list)), ("sim.event_cap", event_cap),
+                           ("checks.replicas", check_replicas)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         density = _initial_density(raw.get("initial", {}))
         band = checks.get("slope_band", [-0.65, -0.35])
         run = list(checks.get("run", ["growth", "lipschitz", "lemma_a1"]))
@@ -127,14 +135,14 @@ class ExperimentConfig:
             horizon=horizon,
             replicas=replicas,
             master_seed=int(sim.get("master_seed", 0)),
-            event_cap=int(sim.get("event_cap", 10_000_000)),
+            event_cap=event_cap,
             truncation=ode_cfg.get("truncation"),
             rtol=float(ode_cfg.get("rtol", 1e-6)),
             atol=float(ode_cfg.get("atol", 1e-8)),
             blowup_factor=float(ode_cfg.get("blowup_factor", 1e3)),
             checks=run,
             slope_band=(float(band[0]), float(band[1])),
-            check_replicas=int(checks.get("replicas", 200)),
+            check_replicas=check_replicas,
             out_dir=Path(out.get("directory", "out")),
         )
 
@@ -315,33 +323,32 @@ class ConvergenceReport:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def _converge_chunk(raw_cfg: dict, N: int, reps: list[int]) -> list[tuple]:
-    """Worker task: one N, a chunk of replica indices (module-level, picklable)."""
+def _converge_chunk(raw_cfg: dict, N: int, reps: list[int],
+                    sols: tuple[OdeSolution, OdeSolution]) -> list[tuple]:
+    """Worker task: one N, a chunk of replica indices (module-level, picklable).
+
+    ``sols`` are that N's rounded and fixed-x0 limit trajectories, shipped
+    without their model (its closures do not pickle); this one's is attached.
+    """
     cfg = ExperimentConfig.from_dict(raw_cfg)
     model = build_model(cfg.model)
-    T = cfg.horizon
+    sol, sol_fixed = (dataclasses.replace(s, model=model) for s in sols)
     xi0 = round_initial(cfg.density, N)
-    x_rounded = xi0.to_dense().astype(np.float64) / N
-    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
-    cap = cfg.blowup_factor * (1.0 + l11_norm(cfg.density))
-    try:
-        sol = integrate(model, x_rounded, T, J=J, rtol=cfg.rtol, atol=cfg.atol,
-                        blowup_cap=cap)
-        sol_fixed = integrate(model, cfg.density, T, J=J, rtol=cfg.rtol,
-                              atol=cfg.atol, blowup_cap=cap)
-    except (BlowUpError, StiffnessError) as err:
-        return [("aborted", f"limit trajectory for N = {N}: {type(err).__name__}: {err}")]
+    clock = time.perf_counter
     out = []
     for r in reps:
         seed = replica_seed(cfg.master_seed, N, r)
+        t0 = clock()
         try:
-            path = simulate(model, xi0, N, T, seed, event_cap=cfg.event_cap)
-        except CapExceeded:
-            out.append((r, math.nan, math.nan, math.nan, True))
+            path = simulate(model, xi0, N, cfg.horizon, seed, event_cap=cfg.event_cap)
+        except CapExceeded as cap:
+            out.append((r, math.nan, math.nan, math.nan, True, cap.partial.n_jumps, clock() - t0, 0))
             continue
+        t1 = clock()
         err = sup_l1_error(path, sol, N)
         err_fixed = sup_l1_error(path, sol_fixed, N)
-        out.append((r, err.value, err_fixed.value, err.slack, False))
+        out.append((r, err.value, err_fixed.value, err.slack, False, path.n_jumps,
+                    t1 - t0, clock() - t1))
     return out
 
 
@@ -350,42 +357,63 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
     """Per-N seeded replica study of the sup host-norm deviation.
 
     For each N the limit trajectory starts from the rounded initial
-    condition; the fixed-x0 trajectory gives the secondary column.  The
-    log-log slope of the mean error against N is fitted by least
-    squares with a +-2 sigma confidence interval.
+    condition; the fixed-x0 trajectory gives the secondary column.  Both
+    are integrated once per N, here, for all of that N's replica chunks;
+    an N whose integration fails is reported in ``aborted``.  The log-log
+    slope of the mean error against N is fitted by least squares with a
+    +-2 sigma confidence interval.  Per-N run statistics (jumps, capped,
+    ODE nodes, seconds per phase) go to ``metadata.json``.
     """
     workers = workers or worker_count()
+    model = build_model(cfg.model)
+    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
+    cap = cfg.blowup_factor * (1.0 + l11_norm(cfg.density))
+    sols: dict[int, tuple[OdeSolution, OdeSolution]] = {}
+    stats: dict[int, dict] = {}
+    aborted: dict[int, str] = {}
+    for N in cfg.n_list:
+        x_rounded = round_initial(cfg.density, N).to_dense().astype(np.float64) / N
+        t0 = time.perf_counter()
+        try:
+            sols[N] = tuple(integrate(model, x, cfg.horizon, J=J, rtol=cfg.rtol,
+                                      atol=cfg.atol, blowup_cap=cap)
+                            for x in (x_rounded, cfg.density))
+        except (BlowUpError, StiffnessError) as err:
+            aborted[N] = f"limit trajectory for N = {N}: {type(err).__name__}: {err}"
+            continue
+        stats[N] = {"integrate_s": time.perf_counter() - t0,
+                    "ode_nodes": [int(s.ts.size) for s in sols[N]]}
+
     chunk = max(1, cfg.replicas // max(workers, 1) // 2 or 1)
     jobs = []
-    for N in cfg.n_list:
+    for N in sols:
         reps = list(range(cfg.replicas))
         for k in range(0, len(reps), chunk):
             jobs.append((N, reps[k:k + chunk]))
 
-    results: dict[int, list[tuple]] = {N: [] for N in cfg.n_list}
+    results: dict[int, list[tuple]] = {N: [] for N in sols}
     if workers > 1 and len(jobs) > 1:
+        shipped = {N: tuple(dataclasses.replace(s, model=None) for s in p) for N, p in sols.items()}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_converge_chunk, cfg.raw, N, reps): N
+            futs = {pool.submit(_converge_chunk, cfg.raw, N, reps, shipped[N]): N
                     for N, reps in jobs}
             for fut, N in futs.items():
                 results[N].extend(fut.result())
     else:
         for N, reps in jobs:
-            results[N].extend(_converge_chunk(cfg.raw, N, reps))
+            results[N].extend(_converge_chunk(cfg.raw, N, reps, sols[N]))
 
     rows = []
     replica_rows = []
-    aborted: dict[int, str] = {}
-    for N in cfg.n_list:
-        failed = [e for e in results[N] if e[0] == "aborted"]
-        if failed:
-            aborted[N] = failed[0][1]
-            continue
+    for N in sols:
         entries = sorted(results[N])
         errs = np.array([e[1] for e in entries if not e[4]])
         errs_fixed = np.array([e[2] for e in entries if not e[4]])
         slacks = np.array([e[3] for e in entries if not e[4]])
         capped = sum(1 for e in entries if e[4])
+        stats[N].update(jumps=sum(e[5] for e in entries), capped=capped,
+                        simulate_s=sum(e[6] for e in entries),
+                        sup_l1_error_s=sum(e[7] for e in entries))
         comparator = N ** -0.5 * math.log(N) ** 1.5
         rows.append(ConvergenceRow(
             N, len(errs), capped, float(errs.mean()),
@@ -424,11 +452,11 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
         write_csv(cfg.out_dir / "slope.csv", stamp,
                   ["slope", "ci_lo", "ci_hi"],
                   [(report.slope, report.slope_ci[0], report.slope_ci[1])])
-        _write_metadata(cfg)
+        _write_metadata(cfg, {"per_n": {str(N): st for N, st in stats.items()}})
     return report
 
 
-def _write_metadata(cfg: ExperimentConfig) -> None:
+def _write_metadata(cfg: ExperimentConfig, extra: Optional[dict] = None) -> None:
     import datetime
     import scipy
     meta = {
@@ -437,6 +465,7 @@ def _write_metadata(cfg: ExperimentConfig) -> None:
         "master_seed": cfg.master_seed,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        **(extra or {}),
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with open(cfg.out_dir / "metadata.json", "w") as fh:

@@ -21,6 +21,8 @@ the (1 - p_{i0}) factor exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -176,13 +178,13 @@ class OffspringLaw:
 
 
 def _draw_weighted(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index draw proportional to nonnegative weights (one uniform)."""
-    c = np.cumsum(weights)
+    """Index draw proportional to nonnegative weights (one uniform; np.cumsum's sums)."""
+    c = list(accumulate(weights.tolist()))
     total = c[-1]
     if total <= 0.0:
         raise ValueError("weighted draw over zero total weight")
     u = rng.random() * total
-    return min(int(np.searchsorted(c, u, side="right")), weights.size - 1)
+    return min(bisect_right(c, u), len(c) - 1)
 
 
 def _infected_sources(x: np.ndarray) -> np.ndarray:

@@ -173,9 +173,6 @@ class OdeSolution:
         out[t >= nodes[-1]] = self.ys[-1]
         return out
 
-    def density_vector(self, t: float) -> DensityVector:
-        return DensityVector(self.density(t))
-
     def grid(self, refine: int = 8) -> np.ndarray:
         """Node grid with ``refine`` equal subdivisions per segment."""
         parts = [np.linspace(self.ts[k], self.ts[k + 1], refine + 1)[:-1]

@@ -3,21 +3,31 @@
 Direct stochastic simulation: after every jump the per-load channel
 aggregates are recomputed from the current state (state-dependent rates
 move with the density x = xi / N, so cached channel rates would have no
-validity window; the state-independent baseline aggregates are kept as
-incrementally grown per-load tables).
+validity window).  The loop runs on Python scalars: the counts, the
+grown per-load baseline exit rates and the channel table are lists, and
+the total is summed in numpy's pairwise order, so every rate and
+comparison is an array loop's.  The one per-jump array is x, which the
+model's callbacks receive.
 
 Randomness contract: one generator per run seeds everything.  Per event
 the draws are consumed in a fixed order: (1) the exponential waiting
 time, (2) one uniform selecting the channel, (3) for baseline events
 one uniform splitting moves/death within the load, (4) the model's
 target draws for interaction moves or immigration.  Identical
-(model, xi0, N, T, seed) therefore reproduce the path bit for bit.
+(model, xi0, N, T, seed) therefore reproduce the path bit for bit; the
+scalar loop consumes exactly the draws of the array loop it replaced.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Optional
+
 import numpy as np
 
 from .ode import OdeSolution
@@ -37,6 +47,7 @@ _KIND_ORDER = (
     EventKind.INTERACTION_DEATH,
 )
 _KIND_INDEX = {k: i for i, k in enumerate(_KIND_ORDER)}
+_BASE_MOVE, _INTERACTION_MOVE, _IMMIGRATION, _BASE_DEATH, _INTERACTION_DEATH = range(len(_KIND_ORDER))
 
 
 @dataclass
@@ -88,7 +99,8 @@ class CapExceeded(RuntimeError):
     """
 
     def __init__(self, partial: PathRecord, cap: int):
-        super().__init__(f"event cap {cap} exceeded at t = {partial.times[-1]:.6g}")
+        t = partial.times[-1] if partial.n_jumps else 0.0
+        super().__init__(f"event cap {cap} exceeded at t = {t:.6g}")
         self.partial = partial
         self.cap = cap
 
@@ -101,6 +113,25 @@ def _apply_event(counts: np.ndarray, kind_idx: int, lf: int, lt: int) -> np.ndar
             counts = np.concatenate([counts, np.zeros(lt + 1 - counts.size, dtype=counts.dtype)])
         counts[lt] += 1
     return counts
+
+
+def _pairwise_sum(v: list, lo: int = 0, n: Optional[int] = None) -> float:
+    """numpy's float64 sum of ``v[lo:lo + n]``, added block for block.
+
+    Below 8 entries left to right, up to 128 in 8 lanes added pairwise and
+    then the rest in order, above that two halves, the first a multiple of 8.
+    The builtin ``sum`` would not match: it compensates from Python 3.12 on.
+    """
+    n = len(v) if n is None else n
+    if n < 8:
+        return reduce(add, v[lo:lo + n], 0.0)
+    if n <= 128:
+        stop = lo + n - n % 8
+        r = [reduce(add, v[lo + j:stop:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, v[stop:lo + n], res)
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise_sum(v, lo, n2) + _pairwise_sum(v, lo + n2, n - n2)
 
 
 def simulate(model: ModelSpec, xi0: PopulationState, N: int, T: float,
@@ -119,7 +150,9 @@ def simulate(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     base = model.baseline
     inter = model.interaction
 
-    counts = xi0.to_dense(max(xi0.max_load + 1, 1)).copy()
+    counts: list[int] = xi0.to_dense(max(xi0.max_load + 1, 1)).tolist()
+    exit_per_host: list[float] = []     # astar + dbar per load
+    dbar: list[float] = []
     times: list[float] = []
     kinds: list[int] = []
     lfrom: list[int] = []
@@ -137,73 +170,72 @@ def simulate(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     while True:
         if len(times) >= event_cap:
             raise CapExceeded(finish(), event_cap)
-        nz = np.nonzero(counts)[0]
-        top = int(nz[-1]) if nz.size else 0
-        x = counts[: top + 1].astype(np.float64) / N
+        top = len(counts) - 1
+        while top and not counts[top]:
+            top -= 1
+        x = np.array(counts[: top + 1], dtype=np.float64) / N
+        if top >= len(dbar):
+            dbar = base.dbar_array(top).tolist()
+            exit_per_host = (base.alpha_star_array(top) + dbar).tolist()
 
-        # channel table: (kind, load, rate); baseline exits aggregated per load
-        ch_kind: list[int] = []
-        ch_load: list[int] = []
+        # channel table: (kind, load) and rate; baseline exits aggregated per load
+        channels: list[tuple[int, int]] = []
         ch_rate: list[float] = []
-        astar = base.alpha_star_array(top)
-        dbar = base.dbar_array(top)
-        for i in nz:
-            i = int(i)
-            exit_rate = counts[i] * (astar[i] + dbar[i])
+        for i in range(top + 1):
+            c = counts[i]
+            if not c:
+                continue
+            exit_rate = c * exit_per_host[i]
             if exit_rate > 0.0:
-                ch_kind.append(-1)  # baseline group, split after selection
-                ch_load.append(i)
+                channels.append((-1, i))  # baseline group, split after selection
                 ch_rate.append(exit_rate)
             if inter.alpha_loads is None or i in inter.alpha_loads:
                 a = _check_rate("alpha_total", i, inter.alpha_total_at(i, x))
                 if a > 0.0:
-                    ch_kind.append(_KIND_INDEX[EventKind.INTERACTION_MOVE])
-                    ch_load.append(i)
-                    ch_rate.append(counts[i] * a)
+                    channels.append((_INTERACTION_MOVE, i))
+                    ch_rate.append(c * a)
             if not inter.delta_zero:
                 d = _check_rate("delta", i, inter.delta_at(i, x))
                 if d > 0.0:
-                    ch_kind.append(_KIND_INDEX[EventKind.INTERACTION_DEATH])
-                    ch_load.append(i)
-                    ch_rate.append(counts[i] * d)
+                    channels.append((_INTERACTION_DEATH, i))
+                    ch_rate.append(c * d)
         if not inter.beta_zero:
             b = _check_rate("beta_total", -1, inter.beta_total_at(x))
             if b > 0.0:
-                ch_kind.append(_KIND_INDEX[EventKind.IMMIGRATION])
-                ch_load.append(-1)
+                channels.append((_IMMIGRATION, -1))
                 ch_rate.append(N * b)
 
-        rates = np.array(ch_rate)
-        total = float(rates.sum())
+        total = _pairwise_sum(ch_rate)
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t > T:
             break
 
-        cum = np.cumsum(rates)
         u = rng.random() * total
-        pick = min(int(np.searchsorted(cum, u, side="right")), rates.size - 1)
-        kind_idx = ch_kind[pick]
-        i = ch_load[pick]
+        pick = min(bisect_right(list(accumulate(ch_rate)), u), len(ch_rate) - 1)
+        kind_idx, i = channels[pick]
 
         if kind_idx == -1:
             # split the baseline exit of load i into its moves and death
-            chosen = base.sample_exit(i, rng.random() * (astar[i] + dbar[i]), dbar[i])
+            chosen = base.sample_exit(i, rng.random() * exit_per_host[i], dbar[i])
             if chosen is None:
-                kind_idx = _KIND_INDEX[EventKind.BASELINE_DEATH]
-                lf, lt = i, -1
+                kind_idx, lf, lt = _BASE_DEATH, i, -1
             else:
-                kind_idx = _KIND_INDEX[EventKind.BASELINE_MOVE]
-                lf, lt = i, chosen
-        elif kind_idx == _KIND_INDEX[EventKind.INTERACTION_MOVE]:
+                kind_idx, lf, lt = _BASE_MOVE, i, chosen
+        elif kind_idx == _INTERACTION_MOVE:
             lf, lt = i, int(inter.alpha_sample(i, x, rng))
-        elif kind_idx == _KIND_INDEX[EventKind.IMMIGRATION]:
+        elif kind_idx == _IMMIGRATION:
             lf, lt = -1, int(inter.beta_sample(x, rng))
         else:
             lf, lt = i, -1
 
-        counts = _apply_event(counts, kind_idx, lf, lt)
+        if lf >= 0:
+            counts[lf] -= 1
+        if lt >= 0:
+            if lt >= len(counts):
+                counts.extend([0] * (lt + 1 - len(counts)))
+            counts[lt] += 1
         times.append(t)
         kinds.append(kind_idx)
         lfrom.append(lf)

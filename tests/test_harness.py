@@ -238,7 +238,8 @@ def test_cli_certify_exit_code(tmp_path):
     assert cli_main(["certify", "--config", str(cfg_path)]) == 0
 
 
-def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch, workers):
     # the integrator fails for N = 40 only; the other N still report
     real_round, real_integrate = harness.round_initial, harness.integrate
     current = {}
@@ -254,7 +255,7 @@ def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "round_initial", spy_round)
     monkeypatch.setattr(harness, "integrate", stiff_for_40)
-    rep = run_convergence(small_config(tmp_path), workers=1, write=False)
+    rep = run_convergence(small_config(tmp_path), workers=workers, write=False)
     assert list(rep.aborted) == [40]
     assert "StiffnessError" in rep.aborted[40] and "step size" in rep.aborted[40]
     assert [row.N for row in rep.rows] == [20, 80]
@@ -392,3 +393,48 @@ def test_cli_bad_model_section_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
         assert word in err.splitlines()[-1] and fname in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, change, key", [
+    ("sim", {"n_list": [0, 20]}, "sim.n_list"),
+    ("sim", {"n_list": [-5, 20]}, "sim.n_list"),
+    ("sim", {"event_cap": 0}, "sim.event_cap"),
+    ("checks", {"replicas": 0}, "checks.replicas"),
+])
+def test_config_rejects_run_sizes_below_one(tmp_path, capsys, section, change, key):
+    with pytest.raises(ValueError, match=rf"{key} must be >= 1"):
+        small_config(tmp_path, **{section: change})
+    raw = small_config(tmp_path).raw
+    raw[section].update(change)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for command in ("converge", "certify"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convergence_metadata_per_n_stats(tmp_path, workers):
+    cfg = small_config(tmp_path)
+    run_convergence(cfg, workers=workers)
+    meta = json.loads((cfg.out_dir / "metadata.json").read_text())
+    model = build_model(cfg.model)
+    assert sorted(meta["per_n"], key=int) == ["20", "40", "80"]
+    for N in cfg.n_list:
+        st = meta["per_n"][str(N)]
+        xi0 = round_initial(cfg.density, N)
+        jumps = sum(simulate(model, xi0, N, cfg.horizon,
+                             replica_seed(cfg.master_seed, N, r)).n_jumps
+                    for r in range(cfg.replicas))
+        assert st["jumps"] == jumps > 0
+        assert st["capped"] == 0
+        assert len(st["ode_nodes"]) == 2 and min(st["ode_nodes"]) >= 2
+        for phase in ("integrate_s", "simulate_s", "sup_l1_error_s"):
+            assert st[phase] > 0.0
+    # the statistics stay out of the CSV bodies
+    for name in ("convergence.csv", "replicas.csv", "slope.csv"):
+        assert "jumps" not in (cfg.out_dir / name).read_text()

@@ -4,6 +4,7 @@ from scipy import stats
 
 from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
     luchsinger_nonlinear
+from parasitelab.models import _draw_weighted
 from parasitelab.rates import LipschitzSampleConfig, check_growth, \
     check_lipschitz_sampled
 
@@ -217,3 +218,33 @@ def test_every_model_passes_its_certificates(factory):
     assert check_growth(m, 1000).ok
     rep = check_lipschitz_sampled(m, LipschitzSampleConfig(n_pairs=120, seed=11))
     assert rep.ok, rep.ratios
+
+
+def _draw_weighted_reference(weights, rng):
+    """Reference: the numpy weighted draw the scalar one replaced, verbatim."""
+    c = np.cumsum(weights)
+    total = c[-1]
+    if total <= 0.0:
+        raise ValueError("weighted draw over zero total weight")
+    u = rng.random() * total
+    return min(int(np.searchsorted(c, u, side="right")), weights.size - 1)
+
+
+def test_draw_weighted_matches_numpy_reference():
+    gen = np.random.default_rng(5)
+    for case in range(3000):
+        n = int(gen.integers(1, 40))
+        w = gen.exponential(1.0, n) * 10.0 ** gen.uniform(-8, 2, n)
+        w[gen.random(n) < 0.3] = 0.0           # zero weights are never drawn
+        if not w.any():
+            w[-1] = 1e-300
+        a, b = np.random.default_rng(case), np.random.default_rng(case)
+        for _ in range(5):
+            got = _draw_weighted(w, a)
+            assert got == _draw_weighted_reference(w, b)
+            assert w[got] > 0.0
+        assert a.random() == b.random()        # the same draws were consumed
+    for w in (np.zeros(3), np.zeros(1)):
+        for draw in (_draw_weighted, _draw_weighted_reference):
+            with pytest.raises(ValueError, match="zero total weight"):
+                draw(w, np.random.default_rng(0))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, pure_death_model
-from parasitelab import ssa
+from parasitelab import (OffspringLaw, kretzschmar_modified, luchsinger_linear,
+                         luchsinger_nonlinear, ssa)
+from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
-from parasitelab.rates import EventKind
+from parasitelab.rates import (BaselineGenerator, Envelopes, EventKind,
+                               InteractionSpec, ModelSpec, _check_rate)
 from parasitelab.ssa import (CapExceeded, PathRecord, SupL1Error, _apply_event,
                              simulate, state_at, sup_l1_error,
                              window_transition_count)
@@ -259,3 +262,220 @@ def test_sup_l1_error_jumps_on_grid_points(model61, sol61_T1, monkeypatch):
     for refine in (4, 64, 128):
         assert sup_l1_error(path, sol61_T1, 5, refine) == \
             _sup_l1_error_scalar(path, sol61_T1, 5, refine)
+
+
+def _simulate_reference(model, xi0, N, T, seed, event_cap=ssa.EVENT_CAP_DEFAULT):
+    """Reference: the array jump loop the scalar loop replaced, verbatim."""
+    _KIND_INDEX = ssa._KIND_INDEX
+    if N < 1 or T < 0:
+        raise ValueError("require N >= 1 and T >= 0")
+    rng = np.random.default_rng(seed)
+    seed_repr = seed if isinstance(seed, int) else -1
+    base = model.baseline
+    inter = model.interaction
+
+    counts = xi0.to_dense(max(xi0.max_load + 1, 1)).copy()
+    times: list[float] = []
+    kinds: list[int] = []
+    lfrom: list[int] = []
+    lto: list[int] = []
+
+    def finish() -> PathRecord:
+        return PathRecord(
+            model.name, N, T, seed_repr, xi0,
+            np.array(times), np.array(kinds, dtype=np.int8),
+            np.array(lfrom, dtype=np.int64), np.array(lto, dtype=np.int64),
+            PopulationState.from_dense(counts),
+        )
+
+    t = 0.0
+    while True:
+        if len(times) >= event_cap:
+            raise CapExceeded(finish(), event_cap)
+        nz = np.nonzero(counts)[0]
+        top = int(nz[-1]) if nz.size else 0
+        x = counts[: top + 1].astype(np.float64) / N
+
+        # channel table: (kind, load, rate); baseline exits aggregated per load
+        ch_kind: list[int] = []
+        ch_load: list[int] = []
+        ch_rate: list[float] = []
+        astar = base.alpha_star_array(top)
+        dbar = base.dbar_array(top)
+        for i in nz:
+            i = int(i)
+            exit_rate = counts[i] * (astar[i] + dbar[i])
+            if exit_rate > 0.0:
+                ch_kind.append(-1)  # baseline group, split after selection
+                ch_load.append(i)
+                ch_rate.append(exit_rate)
+            if inter.alpha_loads is None or i in inter.alpha_loads:
+                a = _check_rate("alpha_total", i, inter.alpha_total_at(i, x))
+                if a > 0.0:
+                    ch_kind.append(_KIND_INDEX[EventKind.INTERACTION_MOVE])
+                    ch_load.append(i)
+                    ch_rate.append(counts[i] * a)
+            if not inter.delta_zero:
+                d = _check_rate("delta", i, inter.delta_at(i, x))
+                if d > 0.0:
+                    ch_kind.append(_KIND_INDEX[EventKind.INTERACTION_DEATH])
+                    ch_load.append(i)
+                    ch_rate.append(counts[i] * d)
+        if not inter.beta_zero:
+            b = _check_rate("beta_total", -1, inter.beta_total_at(x))
+            if b > 0.0:
+                ch_kind.append(_KIND_INDEX[EventKind.IMMIGRATION])
+                ch_load.append(-1)
+                ch_rate.append(N * b)
+
+        rates = np.array(ch_rate)
+        total = float(rates.sum())
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > T:
+            break
+
+        cum = np.cumsum(rates)
+        u = rng.random() * total
+        pick = min(int(np.searchsorted(cum, u, side="right")), rates.size - 1)
+        kind_idx = ch_kind[pick]
+        i = ch_load[pick]
+
+        if kind_idx == -1:
+            # split the baseline exit of load i into its moves and death
+            chosen = base.sample_exit(i, rng.random() * (astar[i] + dbar[i]), dbar[i])
+            if chosen is None:
+                kind_idx = _KIND_INDEX[EventKind.BASELINE_DEATH]
+                lf, lt = i, -1
+            else:
+                kind_idx = _KIND_INDEX[EventKind.BASELINE_MOVE]
+                lf, lt = i, chosen
+        elif kind_idx == _KIND_INDEX[EventKind.INTERACTION_MOVE]:
+            lf, lt = i, int(inter.alpha_sample(i, x, rng))
+        elif kind_idx == _KIND_INDEX[EventKind.IMMIGRATION]:
+            lf, lt = -1, int(inter.beta_sample(x, rng))
+        else:
+            lf, lt = i, -1
+
+        counts = _apply_event(counts, kind_idx, lf, lt)
+        times.append(t)
+        kinds.append(kind_idx)
+        lfrom.append(lf)
+        lto.append(lt)
+
+    return finish()
+
+
+def _assert_paths_identical(a: PathRecord, b: PathRecord) -> None:
+    for name in ("times", "kinds", "load_from", "load_to"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.final == b.final and a.initial == b.initial
+
+
+def _wide_model() -> ModelSpec:
+    """Every channel kind, with rates that vary with x in their last bits."""
+
+    def moves(i):
+        if i == 0:
+            return ((1, 0.1),)
+        return ((i - 1, 0.5 * i), (i + 1, 0.3 / i))
+
+    base = BaselineGenerator(moves, lambda i: 0.3 * math.sqrt(i), m1=1.0, m2=1.0)
+    weights = lambda x: x * np.arange(x.size)            # noqa: E731
+    inter = InteractionSpec(
+        alpha_total=lambda i, x: 0.7 * float(x[1:].sum()) / (1.0 + x[0]),
+        alpha_sample=lambda i, x, rng: int(rng.integers(1, 4)),
+        alpha_pointwise=lambda i, l, x: 0.0,
+        beta_total=lambda x: 0.01 + 0.001 * float(weights(x).sum()),
+        beta_sample=lambda x, rng: int(rng.integers(1, 6)),
+        beta_pointwise=lambda i, x: 0.0,
+        delta=lambda i, x: 0.013 * i * (1.0 + float(x @ x)),
+        envelopes=Envelopes(),
+        alpha_loads=frozenset({0}),
+    )
+    return ModelSpec("wide", base, inter)
+
+
+def _example_models():
+    table = OffspringLaw.table(np.array([0.3, 0.5, 0.2]))
+    return [
+        (luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)), [0.9, 0.1]),
+        (luchsinger_linear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)), [0.0, 0.9, 0.1]),
+        (kretzschmar_modified(1.5, OffspringLaw.poisson(0.6), 1.0, 0.3, 0.2,
+                              beta_birth=0.5, birth_discount=0.9, c=1.0), [0.5, 0.3, 0.2]),
+        (luchsinger_nonlinear(1.5, 1.0, 0.5, table), [0.7, 0.2, 0.1]),
+        (kretzschmar_modified(1.5, OffspringLaw.geometric(0.6), 1.0, 0.3, 0.2,
+                              beta_birth=0.5, birth_discount=0.9, c=1.0), [0.5, 0.3, 0.2]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_simulate_matches_reference_loop(case):
+    model, x0 = _example_models()[case]
+    for N in (20, 200):
+        xi0 = round_initial(np.array(x0), N)
+        for seed in range(4):
+            path = simulate(model, xi0, N, 2.0, seed)
+            assert path.n_jumps > 0
+            _assert_paths_identical(path, _simulate_reference(model, xi0, N, 2.0, seed))
+
+
+def test_simulate_matches_reference_on_wide_state(monkeypatch):
+    # 80 occupied loads: the channel totals pass through every branch of
+    # the pairwise sum (> 128, 8..128 and < 8 channels)
+    model = _wide_model()
+    xi0 = PopulationState.from_dense(np.array([3] + [1] * 79))
+    lengths = []
+    real_sum = ssa._pairwise_sum
+
+    def spy(v, lo=0, n=None):
+        if n is None:
+            lengths.append(len(v))
+        return real_sum(v, lo, n)
+
+    monkeypatch.setattr(ssa, "_pairwise_sum", spy)
+    kinds = set()
+    for seed in range(3):
+        path = simulate(model, xi0, 82, 8.0, seed)
+        _assert_paths_identical(path, _simulate_reference(model, xi0, 82, 8.0, seed))
+        kinds |= {path.kind(k) for k in range(path.n_jumps)}
+    assert kinds == set(EventKind)
+    assert max(lengths) > 128 and min(lengths) < 8
+    assert any(8 <= n <= 128 for n in lengths)
+
+
+def test_cap_exceeded_partial_path_matches_reference(model61, xi0_100):
+    with pytest.raises(CapExceeded) as new:
+        simulate(model61, xi0_100, 100, 2.0, 3, event_cap=5)
+    with pytest.raises(CapExceeded) as ref:
+        _simulate_reference(model61, xi0_100, 100, 2.0, 3, event_cap=5)
+    _assert_paths_identical(new.value.partial, ref.value.partial)
+    assert str(new.value) == str(ref.value)
+
+
+def test_cap_exceeded_without_jumps_reports_time_zero(model61, xi0_100):
+    with pytest.raises(CapExceeded, match=r"event cap 0 exceeded at t = 0$") as exc:
+        simulate(model61, xi0_100, 100, 2.0, 3, event_cap=0)
+    assert exc.value.partial.n_jumps == 0
+
+
+def test_pairwise_sum_matches_numpy():
+    rng = np.random.default_rng(11)
+    differs_from_plain_loop = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 601))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        if rng.random() < 0.5:
+            v = np.abs(v)
+        values = v.tolist()
+        expected = float(np.add.reduce(v))
+        assert ssa._pairwise_sum(values) == expected, n
+        plain = 0.0
+        for value in values:
+            plain += value
+        differs_from_plain_loop += plain != expected
+    # the order matters: a left-to-right loop rounds differently
+    assert differs_from_plain_loop > 0
+    assert ssa._pairwise_sum([]) == 0.0
