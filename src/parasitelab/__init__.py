@@ -7,7 +7,8 @@ Layers, from the bottom up:
     sampled hypothesis certificates.
   - ``models``: the example model constructors and offspring laws.
   - ``ode``: the deterministic limit system and its certified solver.
-  - ``ssa``: exact event-driven simulation of the interacting process.
+  - ``ssa``: exact event-driven simulation of the interacting process;
+    ``PathRecord.counts_at`` reads a path's counts at chosen times.
   - ``tilde``: the independent-individuals auxiliary process.
   - ``coupling``: the joint construction of both processes on one
     probability space, with pathwise decoupling accounting.
@@ -59,9 +60,7 @@ from .ssa import (
     PathRecord,
     SupL1Error,
     simulate,
-    state_at,
     sup_l1_error,
-    window_transition_count,
 )
 from .tilde import (
     DominatingRateError,

@@ -358,11 +358,13 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
 
     For each N the limit trajectory starts from the rounded initial
     condition; the fixed-x0 trajectory gives the secondary column.  Both
-    are integrated once per N, here, for all of that N's replica chunks;
-    an N whose integration fails is reported in ``aborted``.  The log-log
+    are integrated here, the rounded one once per N and the fixed-x0 one,
+    the same for every N, once per study in the first N's block; an N
+    whose integration fails is reported in ``aborted``.  The log-log
     slope of the mean error against N is fitted by least squares with a
     +-2 sigma confidence interval.  Per-N run statistics (jumps, capped,
-    ODE nodes, seconds per phase) go to ``metadata.json``.
+    ODE nodes, seconds per phase) go to ``metadata.json``; only the
+    first N's ``integrate_s`` includes the fixed-x0 integration.
     """
     workers = workers or worker_count()
     model = build_model(cfg.model)
@@ -371,13 +373,16 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
     sols: dict[int, tuple[OdeSolution, OdeSolution]] = {}
     stats: dict[int, dict] = {}
     aborted: dict[int, str] = {}
+    fixed: Optional[OdeSolution] = None
+    limit = dict(T=cfg.horizon, J=J, rtol=cfg.rtol, atol=cfg.atol, blowup_cap=cap)
     for N in cfg.n_list:
         x_rounded = round_initial(cfg.density, N).to_dense().astype(np.float64) / N
         t0 = time.perf_counter()
         try:
-            sols[N] = tuple(integrate(model, x, cfg.horizon, J=J, rtol=cfg.rtol,
-                                      atol=cfg.atol, blowup_cap=cap)
-                            for x in (x_rounded, cfg.density))
+            rounded = integrate(model, x_rounded, **limit)
+            if fixed is None:
+                fixed = integrate(model, cfg.density, **limit)
+            sols[N] = (rounded, fixed)
         except (BlowUpError, StiffnessError) as err:
             aborted[N] = f"limit trajectory for N = {N}: {type(err).__name__}: {err}"
             continue

@@ -16,6 +16,10 @@ one uniform splitting moves/death within the load, (4) the model's
 target draws for interaction moves or immigration.  Identical
 (model, xi0, N, T, seed) therefore reproduce the path bit for bit; the
 scalar loop consumes exactly the draws of the array loop it replaced.
+
+``PathRecord.counts_at`` is the one replay that reads a path's counts
+at chosen times; ``sup_l1_error`` streams every state through the same
+per-jump delta scatter.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ class PathRecord:
     """One realized trajectory: ordered jumps plus endpoint states.
 
     ``load_from`` is -1 for immigration events, ``load_to`` is -1 for
-    deaths.  Replaying the per-event deltas from ``initial`` reproduces
-    ``final`` exactly (integer arithmetic).
+    deaths.  ``counts_at``, the one replay for time queries, adds the
+    per-jump deltas to ``initial`` in exact integer arithmetic, so
+    replaying to T reproduces ``final``.
     """
 
     model_name: str
@@ -76,6 +81,35 @@ class PathRecord:
 
     def kind(self, k: int) -> EventKind:
         return _KIND_ORDER[self.kinds[k]]
+
+    def _width(self, width: int) -> int:
+        return max(width, self.initial.max_load + 1, int(self.load_to.max(initial=0)) + 1)
+
+    def _scatter_jumps(self, rows: np.ndarray, jumps: np.ndarray, at: np.ndarray) -> None:
+        """Scatter into rows ``at``: -1 at ``load_from``, +1 at ``load_to``, skipping -1."""
+        for loads, sign in ((self.load_from[jumps], -1), (self.load_to[jumps], 1)):
+            hit = loads >= 0
+            np.add.at(rows, (at[hit], loads[hit]), sign)
+
+    def counts_at(self, ts, width: int = 1) -> np.ndarray:
+        """Counts right after every jump at or before each time of ``ts``.
+
+        One int64 row per query time, in the order of ``ts``, at least
+        ``width`` wide and wide enough for every load the path visits.
+        Memory grows with ``len(ts)``, not with the path: the jumps are
+        scattered into one row per sorted query time, then summed up.
+        """
+        order = np.argsort(ts)
+        ts = np.asarray(ts, dtype=np.float64)[order]     # a nan sorts last
+        if ts.size and not 0.0 <= ts[0] <= ts[-1] <= self.T:
+            raise ValueError(f"query times outside [0, {self.T}]")
+        ks = np.searchsorted(self.times, ts, side="right")
+        rows = np.zeros((ts.size + 1, self._width(width)), dtype=np.int64)
+        rows[0] = self.initial.to_dense(rows.shape[1])
+        jumps = np.arange(ks[-1] if ks.size else 0)
+        self._scatter_jumps(rows, jumps, np.searchsorted(ks, jumps, side="right") + 1)
+        np.cumsum(rows, axis=0, out=rows)
+        return rows[1:][np.argsort(order)]
 
     def write_csv(self, path, header_extra: str = "") -> None:
         with open(path, "w", newline="") as fh:
@@ -103,16 +137,6 @@ class CapExceeded(RuntimeError):
         super().__init__(f"event cap {cap} exceeded at t = {t:.6g}")
         self.partial = partial
         self.cap = cap
-
-
-def _apply_event(counts: np.ndarray, kind_idx: int, lf: int, lt: int) -> np.ndarray:
-    if lf >= 0:
-        counts[lf] -= 1
-    if lt >= 0:
-        if lt >= counts.size:
-            counts = np.concatenate([counts, np.zeros(lt + 1 - counts.size, dtype=counts.dtype)])
-        counts[lt] += 1
-    return counts
 
 
 def _pairwise_sum(v: list, lo: int = 0, n: Optional[int] = None) -> float:
@@ -244,27 +268,6 @@ def simulate(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     return finish()
 
 
-def state_at(path: PathRecord, t: float) -> PopulationState:
-    """Piecewise-constant state immediately after the last jump <= t."""
-    if not 0.0 <= t <= path.T:
-        raise ValueError(f"t = {t} outside [0, {path.T}]")
-    counts = path.initial.to_dense(max(path.initial.max_load + 1, 1)).copy()
-    upto = int(np.searchsorted(path.times, t, side="right"))
-    for k in range(upto):
-        counts = _apply_event(counts, int(path.kinds[k]),
-                              int(path.load_from[k]), int(path.load_to[k]))
-    return PopulationState.from_dense(counts)
-
-
-def window_transition_count(path: PathRecord, t: float, h: float) -> int:
-    """Number of recorded jumps in the window (t, t + h]."""
-    if h < 0 or t < 0 or t + h > path.T:
-        raise ValueError("window outside the horizon")
-    lo = int(np.searchsorted(path.times, t, side="right"))
-    hi = int(np.searchsorted(path.times, t + h, side="right"))
-    return hi - lo
-
-
 @dataclass(frozen=True)
 class SupL1Error:
     """Sup of the host-norm deviation, with the discretization slack.
@@ -300,11 +303,7 @@ def sup_l1_error(path: PathRecord, ode: OdeSolution, N: int,
     """
     if abs(path.T - ode.T) > 1e-12:
         raise ValueError(f"horizon mismatch: path T = {path.T}, ode T = {ode.T}")
-    width = max(path.initial.max_load + 1, ode.J + 1,
-                int(path.load_to.max(initial=0)) + 1)
-    counts = np.zeros(width, dtype=np.int64)
-    dense0 = path.initial.to_dense()
-    counts[: dense0.size] = dense0
+    counts = path.initial.to_dense(path._width(ode.J + 1))
 
     T = float(path.T)
     n_states = path.n_jumps + 1
@@ -327,12 +326,10 @@ def sup_l1_error(path: PathRecord, ode: OdeSolution, N: int,
 
         # count rows of states s0..s1-1, plus state s1 carried to the next chunk
         last = min(s1, n_states - 1)
-        rows = np.zeros((last - s0 + 1, width), dtype=np.int64)
+        rows = np.zeros((last - s0 + 1, counts.size), dtype=np.int64)
         rows[0] = counts
         jumps = np.arange(s0, last)
-        for loads, sign in ((path.load_from[jumps], -1), (path.load_to[jumps], 1)):
-            hit = loads >= 0
-            rows[jumps[hit] - s0 + 1, loads[hit]] += sign
+        path._scatter_jumps(rows, jumps, jumps - s0 + 1)
         np.cumsum(rows, axis=0, out=rows)
         counts = rows[-1]
         rows = rows[: s1 - s0]

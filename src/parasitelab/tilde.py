@@ -5,7 +5,8 @@ frozen at the deterministic trajectory (so individuals never see each
 other), and immigrants arrive by an inhomogeneous Poisson process whose
 rate is the immigration evaluator along the same trajectory.  The mean
 of the aggregate process is exactly N times the limit solution, which
-is what the moment and concentration checks certify empirically.
+is what the four checks certify empirically; they read each replica's
+counts at their check times with ``PathRecord.counts_at``.
 
 Time-varying rates are simulated by thinning: candidates are proposed
 at the declared dominating rate (envelope constants evaluated at the
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .ode import OdeSolution
 from .rates import EventKind, ModelSpec, bound_constants
-from .ssa import PathRecord, _KIND_INDEX, _apply_event
+from .ssa import PathRecord, _KIND_INDEX
 from .state import PopulationState, l11_norm
 
 _SOUNDNESS_TOL = 1e-9
@@ -213,38 +214,23 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     lfrom = np.array([e[3] for e in events], dtype=np.int64)
     lto = np.array([e[4] for e in events], dtype=np.int64)
 
-    counts = xi0.to_dense(max(xi0.max_load + 1, 1)).copy()
-    for k in range(times.size):
-        counts = _apply_event(counts, int(kinds[k]), int(lfrom[k]), int(lto[k]))
-    seed_repr = seed if isinstance(seed, int) else -1
-    return PathRecord(model.name + "~", N, T, seed_repr, xi0,
-                      times, kinds, lfrom, lto, PopulationState.from_dense(counts))
+    path = PathRecord(model.name + "~", N, T, seed if isinstance(seed, int) else -1, xi0,
+                      times, kinds, lfrom, lto, xi0)     # final: replayed below
+    path.final = PopulationState.from_dense(path.counts_at([T])[0])
+    return path
 
 
-def _counts_at_times(path: PathRecord, ts: Sequence[float], width: int) -> np.ndarray:
-    """Aggregate counts at the query times (rows) by one replay sweep."""
-    out = np.zeros((len(ts), width), dtype=np.float64)
-    counts = np.zeros(width, dtype=np.int64)
-    dense0 = path.initial.to_dense()
-    counts[: dense0.size] = dense0
-    k = 0
-    order = np.argsort(ts)
-    for row in order:
-        t = ts[row]
-        while k < path.n_jumps and path.times[k] <= t:
-            lf, lt = int(path.load_from[k]), int(path.load_to[k])
-            if lf >= 0:
-                counts[lf] -= 1
-            if lt >= 0:
-                if lt >= counts.size:
-                    counts = np.concatenate(
-                        [counts, np.zeros(lt + 1 - counts.size, dtype=np.int64)])
-                    out = np.hstack([out, np.zeros((out.shape[0], counts.size - width))])
-                    width = counts.size
-                counts[lt] += 1
-            k += 1
-        out[row, : counts.size] = counts
-    return out
+def _replica_counts(model: ModelSpec, xi0: PopulationState, N: int, T: float,
+                    ode: OdeSolution, replicas: int, seed, ts: Sequence[float],
+                    width: int) -> Iterator[tuple[PathRecord, np.ndarray]]:
+    """Per replica, in spawn order: the path and its float64 counts at ``ts``.
+
+    ``simulate_tilde`` is looked up as a module global at every call, so
+    wrappers installed on ``tilde.simulate_tilde`` see every replica.
+    """
+    for child in _seed_sequence(seed).spawn(replicas):
+        path = simulate_tilde(model, xi0, N, T, ode, child)
+        yield path, path.counts_at(ts, width).astype(np.float64)
 
 
 @dataclass
@@ -279,16 +265,9 @@ def moment_bound_check(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     bound = (l11_norm(xi0.to_dense()) / N + T * (e.b10 + e.b11(0.0) * M)) \
         * math.exp((model.baseline.w + bc.a0_star + bc.a1_star * M) * T)
     grid = np.linspace(0.0, T, n_grid)
-    ss = _seed_sequence(seed)
     acc = np.zeros(n_grid)
-    width = 1
-    for child in ss.spawn(replicas):
-        path = simulate_tilde(model, xi0, N, T, ode, child)
-        width = max(width, int(path.load_to.max(initial=0)) + 1,
-                    path.initial.max_load + 1)
-        counts = _counts_at_times(path, grid, width)
-        w = np.arange(1, counts.shape[1] + 1, dtype=np.float64)
-        acc += (counts @ w) / N
+    for _, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, grid, 1):
+        acc += counts @ np.arange(1.0, counts.shape[1] + 1) / N
     emp = acc / replicas
     sup = float(emp.max())
     return MomentBoundReport(bound, sup, bound - sup, grid, emp, replicas)
@@ -328,15 +307,10 @@ def mean_identity_check(model: ModelSpec, xi0: PopulationState, N: int, T: float
     at loads too rare for a stable sample variance.
     """
     ts = list(ts) if len(list(ts)) else [T / 2, T]
-    width = max(xi0.max_load + 1, ode.J + 1, max_load + 1)
-    sums = np.zeros((len(ts), width))
-    sumsq = np.zeros((len(ts), width))
-    ss = _seed_sequence(seed)
-    for child in ss.spawn(replicas):
-        path = simulate_tilde(model, xi0, N, T, ode, child)
-        counts = _counts_at_times(path, ts, width)
-        sums[:, : counts.shape[1]] += counts
-        sumsq[:, : counts.shape[1]] += counts ** 2
+    sums, sumsq = np.zeros((2, len(ts), max_load + 1))
+    for _, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, ts, max_load + 1):
+        sums += counts[:, : max_load + 1]
+        sumsq += counts[:, : max_load + 1] ** 2
     rows: list[MeanIdentityRow] = []
     worst = 0.0
     for g, t in enumerate(ts):
@@ -385,19 +359,13 @@ def concentration_check(model: ModelSpec, xi0: PopulationState, N: int, T: float
     M = max(ode.M_T, 1.0)
     bound = 3.0 * (M + 1.0) * math.sqrt(N * math.log(N))
     thresholds = {K: K * (M + 1.0) * math.sqrt(N) * math.log(N) ** 1.5 for K in tail_K}
-    ss = _seed_sequence(seed)
     dists = np.zeros((replicas, n_grid))
     exceed = {K: 0 for K in tail_K}
-    for r, child in enumerate(ss.spawn(replicas)):
-        path = simulate_tilde(model, xi0, N, T, ode, child)
-        width = max(ode.J + 1, int(path.load_to.max(initial=0)) + 1,
-                    path.initial.max_load + 1)
-        counts = _counts_at_times(path, grid, width)
-        for g, t in enumerate(grid):
-            x = ode.density(float(t))
-            diff = counts[g].copy()
-            diff[: x.size] -= N * x
-            dists[r, g] = np.abs(diff).sum()
+    limit = N * ode.density_many(grid)
+    replays = _replica_counts(model, xi0, N, T, ode, replicas, seed, grid, ode.J + 1)
+    for r, (_, counts) in enumerate(replays):
+        counts[:, : limit.shape[1]] -= limit
+        dists[r] = np.abs(counts).sum(axis=1)
         worst = dists[r].max()
         for K, thr in thresholds.items():
             exceed[K] += worst > thr
@@ -439,24 +407,15 @@ def window_fluctuation_check(model: ModelSpec, xi0: PopulationState, N: int,
     h = 1.0 / (2.0 * math.ceil(N * M) ** m2 * bc.H_T)
     near = K * math.sqrt(N) * math.log(N) ** 1.5
     threshold = near + a * math.log(N)
-    ss = _seed_sequence(seed)
     checked = 0
     exceed = 0
     start_ts = np.linspace(0.0, T - h, starts)
-    for child in ss.spawn(replicas):
-        path = simulate_tilde(model, xi0, N, T, ode, child)
-        width = max(ode.J + 1, int(path.load_to.max(initial=0)) + 1,
-                    path.initial.max_load + 1)
-        counts = _counts_at_times(path, start_ts, width)
-        for g, t in enumerate(start_ts):
-            x = ode.density(float(t))
-            diff = counts[g].copy()
-            diff[: x.size] -= N * x
-            if np.abs(diff).sum() > near:
-                continue
-            checked += 1
-            lo = int(np.searchsorted(path.times, t, side="right"))
-            hi = int(np.searchsorted(path.times, t + h, side="right"))
-            if hi - lo > threshold:
-                exceed += 1
+    limit = N * ode.density_many(start_ts)
+    for path, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed,
+                                        start_ts, ode.J + 1):
+        counts[:, : limit.shape[1]] -= limit
+        is_near = np.abs(counts).sum(axis=1) <= near
+        lo, hi = np.searchsorted(path.times, (start_ts, start_ts + h), side="right")
+        checked += int(is_near.sum())
+        exceed += int(((hi - lo)[is_near] > threshold).sum())
     return WindowFluctuationReport(h, threshold, checked, exceed)

@@ -17,7 +17,7 @@ from parasitelab.ode import integrate, semigroup_apply
 from parasitelab.oracle import enumerate_chain, transient_moments
 from parasitelab.rates import (BaselineGenerator, Envelopes, InteractionSpec,
                                ModelSpec, semigroup_moment)
-from parasitelab.ssa import simulate, state_at
+from parasitelab.ssa import simulate
 from parasitelab.state import BoundM, PopulationState, l11_norm, lemma_a1_sides
 from parasitelab.tilde import concentration_check, mean_identity_check, \
     moment_bound_check
@@ -97,8 +97,7 @@ def test_criterion_02_coupling_invariants_battery():
 def test_criterion_03_host_conservation(model61, sol61, xi0_100):
     ok = True
     path = simulate(model61, xi0_100, 100, 2.0, 2024)
-    for t in np.linspace(0.0, 2.0, 17):
-        ok &= state_at(path, float(t)).total_hosts == 100
+    ok &= bool(np.all(path.counts_at(np.linspace(0.0, 2.0, 17)).sum(axis=1) == 100))
     ok &= path.final.total_hosts == 100
     tol = 10 * (sol61.rtol + sol61.atol)
     mass0 = float(sol61.density(0.0).sum())
@@ -116,7 +115,7 @@ def test_criterion_04_oracle_equivalence(model_tiny):
     mom = transient_moments(chain, T)
     acc = np.zeros(4)
     for s in range(runs):
-        acc += state_at(simulate(model_tiny, xi0, N, T, s), T).to_dense(4)
+        acc += simulate(model_tiny, xi0, N, T, s).counts_at([T], 4)[0]
     emp = acc / runs
     ok = True
     for j in range(4):

@@ -262,6 +262,62 @@ def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch, workers):
     assert all(row.replicas == 8 for row in rep.rows)
 
 
+def test_certify_mean_identity_paths_past_its_width(tmp_path):
+    # X~ replicas reach loads past max(J + 1, 13): the check reports a
+    # verdict and a certificates.csv instead of ending in a traceback
+    cfg_path = tmp_path / "heavy.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"name": "luchsinger_nonlinear", "lam": 2.0, "mu": 0.2, "kappa": 1.0,
+                  "offspring": {"family": "poisson", "mean": 8.0}},
+        "initial": {"density": [0.5, 0.5]},
+        "sim": {"n_list": [40], "horizon": 1.0, "master_seed": 1},
+        "ode": {"truncation": 6},
+        "checks": {"run": ["mean_identity"], "replicas": 20},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert cli_main(["certify", "--config", str(cfg_path)]) in (0, 1)
+    assert "mean_identity," in (tmp_path / "out" / "certificates.csv").read_text()
+    assert len((tmp_path / "out" / "mean_identity.csv").read_text().splitlines()) == 2 + 2 * 13
+
+
+# a density that no N of small_config's n_list rounds to exactly, so the
+# rounded and fixed-x0 limit trajectories start from different points
+UNROUNDED = {"density": [0.87, 0.13]}
+
+
+def test_convergence_integrates_the_fixed_x0_trajectory_once(tmp_path, monkeypatch):
+    starts = []
+    real_integrate = harness.integrate
+
+    def spy(model, x, *args, **kwargs):
+        starts.append(np.array(x))
+        return real_integrate(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate", spy)
+    cfg = small_config(tmp_path, initial=UNROUNDED)
+    rep = run_convergence(cfg, workers=1, write=False)
+    assert len(starts) == len(cfg.n_list) + 1
+    assert sum(np.array_equal(x, cfg.density) for x in starts) == 1
+    assert [row.N for row in rep.rows] == cfg.n_list and not rep.aborted
+
+
+def test_convergence_fixed_x0_failure_aborts_every_n(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, initial=UNROUNDED)
+    real_integrate = harness.integrate
+
+    def stiff_fixed(model, x, *args, **kwargs):
+        if np.array_equal(x, cfg.density):
+            raise StiffnessError("required step size is less than spacing between numbers")
+        return real_integrate(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate", stiff_fixed)
+    rep = run_convergence(cfg, workers=1, write=False)
+    assert rep.rows == [] and list(rep.aborted) == cfg.n_list
+    for N, msg in rep.aborted.items():
+        assert msg == (f"limit trajectory for N = {N}: StiffnessError: "
+                       "required step size is less than spacing between numbers")
+
+
 def test_certificates_hard_failure_on_coupled_event_cap(tmp_path):
     cfg = small_config(tmp_path, sim={"event_cap": 3},
                        checks={"run": ["growth", "coupling"], "replicas": 4})

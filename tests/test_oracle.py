@@ -103,14 +103,14 @@ def test_state_cap_enforced(model62):
 
 def test_oracle_matches_ssa_quick(model_tiny):
     # marginal means of the exact simulator against the matrix exponential
-    from parasitelab.ssa import simulate, state_at
+    from parasitelab.ssa import simulate
     xi0 = PopulationState.from_dict({0: 1, 2: 1})
     chain = enumerate_chain(model_tiny, xi0, 2, 2)
     mom = transient_moments(chain, 1.0)
     runs = 2000
     acc = np.zeros(3)
     for s in range(runs):
-        acc += state_at(simulate(model_tiny, xi0, 2, 1.0, s), 1.0).to_dense(3)
+        acc += simulate(model_tiny, xi0, 2, 1.0, s).counts_at([1.0], 3)[0]
     emp = acc / runs
     for j in range(3):
         se = max(math.sqrt(mom.variances[j] / runs), 1e-9)

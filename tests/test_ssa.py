@@ -10,10 +10,31 @@ from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.rates import (BaselineGenerator, Envelopes, EventKind,
                                InteractionSpec, ModelSpec, _check_rate)
-from parasitelab.ssa import (CapExceeded, PathRecord, SupL1Error, _apply_event,
-                             simulate, state_at, sup_l1_error,
-                             window_transition_count)
+from parasitelab.ssa import CapExceeded, PathRecord, SupL1Error, simulate, sup_l1_error
 from parasitelab.state import PopulationState
+
+
+def _apply_event(counts: np.ndarray, kind_idx: int, lf: int, lt: int) -> np.ndarray:
+    """Reference: the per-event count update, growing the array on demand."""
+    if lf >= 0:
+        counts[lf] -= 1
+    if lt >= 0:
+        if lt >= counts.size:
+            counts = np.concatenate([counts, np.zeros(lt + 1 - counts.size, dtype=counts.dtype)])
+        counts[lt] += 1
+    return counts
+
+
+def _state_at_reference(path: PathRecord, t: float) -> PopulationState:
+    """Reference: the per-event replay up to the last jump <= t."""
+    if not 0.0 <= t <= path.T:
+        raise ValueError(f"t = {t} outside [0, {path.T}]")
+    counts = path.initial.to_dense(max(path.initial.max_load + 1, 1)).copy()
+    upto = int(np.searchsorted(path.times, t, side="right"))
+    for k in range(upto):
+        counts = _apply_event(counts, int(path.kinds[k]),
+                              int(path.load_from[k]), int(path.load_to[k]))
+    return PopulationState.from_dense(counts)
 
 
 def test_absorbing_state_no_jumps(model61):
@@ -47,14 +68,13 @@ def test_determinism_across_runs(model61, xi0_100):
 def test_host_conservation_exact(model61, xi0_100):
     # closed population: every event preserves the host count
     path = simulate(model61, xi0_100, 100, 2.0, 7)
-    for t in np.linspace(0.0, 2.0, 9):
-        assert state_at(path, float(t)).total_hosts == 100
+    assert np.all(path.counts_at(np.linspace(0.0, 2.0, 9)).sum(axis=1) == 100)
     assert path.final.total_hosts == 100
 
 
 def test_replay_reproduces_final(model61, xi0_100):
     path = simulate(model61, xi0_100, 100, 1.0, 99)
-    assert state_at(path, 1.0) == path.final
+    assert PopulationState.from_dense(path.counts_at([1.0])[0]) == path.final
     assert np.all(np.diff(path.times) > 0)
     assert path.times.size == 0 or path.times[-1] <= 1.0
     kinds = {path.kind(k) for k in range(path.n_jumps)}
@@ -63,34 +83,104 @@ def test_replay_reproduces_final(model61, xi0_100):
                      EventKind.INTERACTION_DEATH}
 
 
-def test_state_at_examples(model61, xi0_100):
+def test_counts_at_examples(model61, xi0_100):
     path = simulate(model61, xi0_100, 100, 1.0, 4)
-    assert state_at(path, 0.0) == path.initial
-    assert state_at(path, 1.0) == path.final
-    if path.n_jumps >= 2:
-        mid = 0.5 * (path.times[0] + path.times[1])
-        expected = path.initial.to_dense(60).copy()
-        lf, lt = int(path.load_from[0]), int(path.load_to[0])
-        if lf >= 0:
-            expected[lf] -= 1
-        if lt >= 0:
-            expected[lt] += 1
-        assert state_at(path, float(mid)) == PopulationState.from_dense(expected)
-    with pytest.raises(ValueError):
-        state_at(path, 1.5)
+    assert path.n_jumps >= 2
+    mid = 0.5 * (path.times[0] + path.times[1])
+    rows = path.counts_at([0.0, 1.0, mid], width=60)
+    assert rows.dtype == np.int64 and rows.shape == (3, 60)
+    expected = path.initial.to_dense(60).copy()
+    assert np.array_equal(rows[0], expected)
+    assert PopulationState.from_dense(rows[1]) == path.final
+    lf, lt = int(path.load_from[0]), int(path.load_to[0])
+    if lf >= 0:
+        expected[lf] -= 1
+    if lt >= 0:
+        expected[lt] += 1
+    assert np.array_equal(rows[2], expected)
 
 
-def test_window_transition_counts(model61, xi0_100):
-    path = simulate(model61, xi0_100, 100, 2.0, 11)
-    assert window_transition_count(path, 0.7, 0.0) == 0
-    assert window_transition_count(path, 0.0, 2.0) == path.n_jumps
-    # disjoint windows partition the horizon: counts add up
-    edges = np.linspace(0.0, 2.0, 9)
-    total = sum(window_transition_count(path, float(a), float(b - a))
-                for a, b in zip(edges, edges[1:]))
-    assert total == path.n_jumps
-    with pytest.raises(ValueError):
-        window_transition_count(path, 1.5, 1.0)
+def _assert_counts_match_reference(path: PathRecord, ts, width: int = 1) -> np.ndarray:
+    rows = path.counts_at(ts, width)
+    need = max(width, path.initial.max_load + 1, int(path.load_to.max(initial=0)) + 1)
+    assert rows.dtype == np.int64 and rows.shape == (len(ts), need)
+    for row, t in zip(rows, ts):
+        assert PopulationState.from_dense(row) == _state_at_reference(path, float(t)), t
+    return rows
+
+
+def _query_times(path: PathRecord, rng) -> np.ndarray:
+    # both ends, every jump time exactly, midpoints, repeats, shuffled
+    mids = 0.5 * (path.times[1:] + path.times[:-1])
+    ts = np.concatenate(([0.0, path.T, path.T], path.times, path.times[::3], mids))
+    return rng.permutation(ts)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_counts_at_matches_reference_replay(case):
+    model, x0 = _example_models()[case]
+    rng = np.random.default_rng(case)
+    for N in (20, 80):
+        xi0 = round_initial(np.array(x0), N)
+        for seed in range(2):
+            path = simulate(model, xi0, N, 2.0, seed)
+            assert path.n_jumps > 0
+            _assert_counts_match_reference(path, _query_times(path, rng))
+            assert PopulationState.from_dense(path.counts_at([2.0])[0]) == path.final
+
+
+def test_counts_at_immigration_and_targets_past_initial_width(model62, model61_heavy):
+    path = simulate(model62, PopulationState.from_dict({1: 45, 2: 5}), 50, 1.0, 21)
+    assert np.any(path.load_from < 0)               # immigration events
+    _assert_counts_match_reference(path, _query_times(path, np.random.default_rng(1)))
+    path = simulate(model61_heavy, PopulationState.from_dict({0: 50, 1: 50}), 100, 1.0, 3)
+    assert int(path.load_to.max()) > path.initial.max_load + 1
+    _assert_counts_match_reference(path, _query_times(path, np.random.default_rng(2)), 4)
+
+
+def test_counts_at_hand_built_path():
+    # immigration into an empty state, a death, a target past the initial width
+    xi0 = PopulationState.from_dict({1: 1})
+    times = np.array([0.2, 0.4, 0.4 + 1.0 / 64, 0.9])
+    path = PathRecord("hand", 3, 1.0, 0, xi0, times, np.array([2, 3, 0, 0], dtype=np.int8),
+                      np.array([-1, 1, 3, 0]), np.array([3, -1, 0, 6]),
+                      PopulationState.from_dict({6: 1}))
+    ts = [1.0, 0.0, 0.4, 0.4, 0.3, 0.9, 0.95, 0.4 + 1.0 / 64]
+    rows = _assert_counts_match_reference(path, ts)
+    assert rows.shape == (8, 7)
+    assert rows[0].tolist() == [0, 0, 0, 0, 0, 0, 1]
+    assert rows[4].tolist() == [0, 1, 0, 1, 0, 0, 0]
+    _assert_counts_match_reference(path, ts, width=10)
+
+
+def test_counts_at_without_jumps(model61):
+    path = simulate(model61, PopulationState.from_dict({0: 10}), 10, 1.0, 0)
+    assert path.n_jumps == 0
+    rows = _assert_counts_match_reference(path, [0.5, 0.0, 1.0, 0.5])
+    assert rows.tolist() == [[10]] * 4
+    empty = PathRecord("none", 1, 1.0, 0, PopulationState.empty(), np.array([]),
+                       np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), PopulationState.empty())
+    assert empty.counts_at([0.0, 1.0]).tolist() == [[0], [0]]
+    assert empty.counts_at([], width=3).shape == (0, 3)
+
+
+def test_counts_at_width_padding(model61, xi0_100):
+    path = simulate(model61, xi0_100, 100, 1.0, 4)
+    narrow = path.counts_at([0.3, 1.0])
+    wide = path.counts_at([0.3, 1.0], width=narrow.shape[1] + 5)
+    assert wide.shape == (2, narrow.shape[1] + 5)
+    assert np.array_equal(wide[:, : narrow.shape[1]], narrow)
+    assert not wide[:, narrow.shape[1]:].any()
+
+
+def test_counts_at_rejects_times_outside_horizon(model61, xi0_100):
+    path = simulate(model61, xi0_100, 100, 1.0, 4)
+    for bad in ([1.5], [-1e-12], [0.5, 1.0 + 1e-12], [math.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            path.counts_at(bad)
+        with pytest.raises(ValueError, match="outside"):
+            _state_at_reference(path, bad[-1])
 
 
 def test_immigration_grows_population(model62):

@@ -13,6 +13,7 @@ is.  A digest may change only together with a CHANGES.md entry that
 declares which random stream changed and why.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -26,7 +27,8 @@ from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
-from parasitelab.tilde import simulate_tilde
+from parasitelab.tilde import (concentration_check, mean_identity_check, moment_bound_check,
+                               simulate_tilde, window_fluctuation_check)
 
 T = 1.0
 N_LIST = (20, 60)
@@ -159,3 +161,77 @@ def test_coupled_stream_grows_and_stops(name):
             run.compensator_bound_checked,
             *[compensator_intensity(model, f, t, N, sol) for t in (0.0, T / 2, T)])
     assert h.hexdigest() == expected
+
+
+# the four X~ checks on small instances of the three example models: the
+# report fields are hashed, so a change in how the checks read counts off
+# their paths (widths, replay, summation order) shows as a new digest.
+# The "grow" cases use a coarse truncation J, so paths reach loads past
+# the limit's width.
+CHECK_N = 30
+CHECK_REPLICAS = 6
+CHECK_CASES = {name: (make, x0, 54) for name, (make, x0) in MODELS.items()}
+CHECK_CASES.update({f"{name}/grow": (make, x0, J)
+                    for name, (make, x0, J, _, _) in GROW_TAU_CASES.items()})
+
+EXPECTED_CHECKS = {
+    "kretzschmar_modified": {
+        "moment": "e696ce4b9a2097c1d55fadca416b075524ad5c8917bc3a0a6b604135a5680ff3",
+        "mean_identity": "95a3e5dcc3bfb8c1f208f1fb01f674312b7e625b97488925913140e2d13de0b8",
+        "concentration": "88a31a98c9f5bc0289b34b0282962af92fd82e65f81fe430816d91a11b458624",
+        "window": "d918d6ef07d881d56c1bbeb4479fbc0405bc6770d3a2ea0d6bbea9d51ccdaee4",
+    },
+    "kretzschmar_modified/grow": {
+        "moment": "12ec1a4f081628fb7f3c08b978d16bf6966cf04fda669194e7e77a06b89fa2ea",
+        "mean_identity": "ab16d7b0977cf72457c24b270713a33126f272c5e89361f3dbe7bef220521a3c",
+        "concentration": "4cef9ff8d4d875c2fbe13d69e73b97e5c88cc27f81f81f7223ae9eb907d2eac9",
+        "window": "bd217ddc0be3fda713d1220fc19bb583a1123bf7fb6d655641f1a7ff00633dda",
+    },
+    "luchsinger_linear": {
+        "moment": "93261b8458fc408c8501c7e41058c65de07bc9bf7fa3318a3386b9e9c53b7ff1",
+        "mean_identity": "1f3bbb1ae62c5c94b399bc27337f9a9cd4f29d3ce497a3615c62df46c0d62f5d",
+        "concentration": "a36ace3a2949178fcf0ed88529ed7a22d1e413a30af9efbb53f7a81b7a8a6b69",
+        "window": "e2dc9ec303671f2beaed1d9120f042687c5083dd56472a764fa70c831cd6ebd7",
+    },
+    "luchsinger_linear/grow": {
+        "moment": "69866cf8ae2b64bb134d15f340e3245ccd6d24721113f48188bdcd803021cd3d",
+        "mean_identity": "80bfaccffe2eb1d1adce54ea61d4625a0503cb337dcae8b931ef23bcacb9af24",
+        "concentration": "87702f344bc2d1db8f711796a3f36a1612793ab54b1c82370b72286c956aed1e",
+        "window": "aaaf4a00f9d7a3c3eae741caff57eb321bcecf570da6cefc92b3e9b91a3e487c",
+    },
+    "luchsinger_nonlinear": {
+        "moment": "63067b301b0071974bb827e809c0f20b646bf15718d2194cfecf2e3ca0b3eded",
+        "mean_identity": "a647f17ef4a4fb4b6608c2a55e11e65693a1adec09b3f0798b009ea50ad313c7",
+        "concentration": "285b485d5277be202d554915e050015d2ce125bd5136dc02ad5868f72458c597",
+        "window": "de5cb3a4b17c8512a16299b85d70434b81561259ffbf85d5de5daa16a6e31d6b",
+    },
+}
+
+
+def check_digests(name: str) -> dict[str, str]:
+    make, x0, J = CHECK_CASES[name]
+    model = make()
+    N, R = CHECK_N, CHECK_REPLICAS
+    xi0 = round_initial(np.array(x0), N)
+    sol = integrate(model, xi0.to_dense().astype(np.float64) / N, T, J=J)
+    h = {k: hashlib.sha256() for k in ("moment", "mean_identity", "concentration", "window")}
+    for seed in (0, 1):
+        rep = moment_bound_check(model, xi0, N, T, sol, R, seed)
+        _update(h["moment"], rep.bound, rep.empirical_sup, rep.margin, rep.grid,
+                rep.empirical, rep.replicas)
+        rep = mean_identity_check(model, xi0, N, T, sol, R, seed,
+                                  ts=(0.3, T / 2, T), max_load=40)
+        _update(h["mean_identity"], rep.replicas, rep.worst_z,
+                *[np.array(dataclasses.astuple(row)) for row in rep.rows])
+        rep = concentration_check(model, xi0, N, T, sol, R, seed)
+        _update(h["concentration"], rep.grid, rep.empirical_mean, rep.std_err, rep.bound,
+                *[np.array(sorted(d.items())) for d in (rep.tail_thresholds, rep.tail_frequency)],
+                rep.replicas)
+        rep = window_fluctuation_check(model, xi0, N, T, sol, R, seed)
+        _update(h["window"], rep.h, rep.threshold_jumps, rep.windows_checked, rep.exceedances)
+    return {k: v.hexdigest() for k, v in h.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_tilde_check_digests(name):
+    assert check_digests(name) == EXPECTED_CHECKS[name]

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, pure_death_model
+from parasitelab import OffspringLaw, luchsinger_nonlinear
 from parasitelab.ode import integrate
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
     ModelSpec
 from parasitelab.state import PopulationState, l11_norm
-from parasitelab.tilde import (DominatingRateError, TildeRates,
-                               _counts_at_times, concentration_check,
-                               moment_bound_check, simulate_individual,
-                               simulate_tilde, window_fluctuation_check)
+from parasitelab.tilde import (DominatingRateError, TildeRates, concentration_check,
+                               mean_identity_check, moment_bound_check,
+                               simulate_individual, simulate_tilde,
+                               window_fluctuation_check)
 
 
 def still_model():
@@ -131,7 +132,7 @@ def test_tilde_mean_matches_ode(model61, xi0_100, sol61_T1):
     ss = np.random.SeedSequence(31)
     for child in ss.spawn(runs):
         path = simulate_tilde(model61, xi0_100, N, T, sol61_T1, child)
-        c = _counts_at_times(path, [T], 60)
+        c = path.counts_at([T], 60)
         acc[: c.shape[1]] += c[0]
     emp = acc / runs
     x = sol61_T1.density(T)
@@ -155,8 +156,8 @@ def test_exchangeability_of_individual_seeds(model61, sol61_T1):
     for child_a, child_b in zip(ss1.spawn(runs), ss2.spawn(runs)):
         pa = simulate_tilde(model61, xi_a, N, 1.0, sol61_T1, child_a)
         pb = simulate_tilde(model61, xi_a, N, 1.0, sol61_T1, child_b)
-        ca = _counts_at_times(pa, [1.0], 40)
-        cb = _counts_at_times(pb, [1.0], 40)
+        ca = pa.counts_at([1.0], 40)
+        cb = pb.counts_at([1.0], 40)
         total_a[: ca.shape[1]] += ca[0]
         total_b[: cb.shape[1]] += cb[0]
     for j in range(6):
@@ -199,3 +200,22 @@ def test_window_fluctuations(model61, xi0_100, sol61_T1):
                                    replicas=60, seed=2, K=1.0, a=2.0)
     assert rep.windows_checked > 0
     assert rep.frequency <= 0.05
+
+
+def test_mean_identity_check_paths_past_its_width():
+    # heavy offspring on a coarse truncation: replicas reach loads past
+    # max(J + 1, max_load + 1); the report reads only loads 0..max_load
+    model = luchsinger_nonlinear(2.0, 0.2, 1.0, OffspringLaw.poisson(8.0))
+    N, T, R, max_load, ts = 40, 1.0, 20, 12, [0.5, 1.0]
+    xi0 = PopulationState.from_dict({0: 20, 1: 20})
+    sol = integrate(model, np.array([0.5, 0.5]), T, J=6)
+    rep = mean_identity_check(model, xi0, N, T, sol, R, 1, ts=ts, max_load=max_load)
+    widths = []
+    sums = np.zeros((len(ts), max_load + 1))
+    for child in np.random.SeedSequence(1).spawn(R):
+        counts = simulate_tilde(model, xi0, N, T, sol, child).counts_at(ts)
+        widths.append(counts.shape[1])
+        sums += counts[:, : max_load + 1]
+    assert max(widths) > max(sol.J + 1, max_load + 1)
+    assert [(r.t, r.load) for r in rep.rows] == [(t, j) for t in ts for j in range(max_load + 1)]
+    assert [r.empirical for r in rep.rows] == (sums / R).ravel().tolist()
