@@ -17,6 +17,8 @@ from pathlib import Path
 from .harness import (ExperimentConfig, coupled_summary, run_certificates,
                       run_convergence, single_ode, single_ssa, single_tilde)
 
+TAIL_WARNING = "warning: terminal tail mass above budget; raise the truncation"
+
 
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
@@ -62,8 +64,7 @@ def main(argv=None) -> int:
         print(f"M_T={sol.M_T:.6g} G_T={sol.G_T:.6g} nodes={sol.ts.size} "
               f"tail_ok={sol.tail_ok}")
         if not sol.tail_ok:
-            print("warning: terminal tail mass above budget; raise the truncation",
-                  file=sys.stderr)
+            print(TAIL_WARNING, file=sys.stderr)
     elif args.command == "tilde":
         path = single_tilde(cfg, args.n, args.seed)
         path.write_csv(cfg.out_dir / "tilde.csv", header_extra=stamp)
@@ -84,6 +85,9 @@ def main(argv=None) -> int:
               f"{report.slope_ci[1]:.4f}]")
     elif args.command == "certify":
         bundle = run_certificates(cfg)
+        for name, ok in bundle.tail_ok.items():
+            if not ok:
+                print(f"{TAIL_WARNING} (limit trajectory {name})", file=sys.stderr)
         for r in bundle.results:
             status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
             print(f"{status}  {r.name:24s} margin={r.margin:.4g}  {r.detail}")

@@ -492,8 +492,14 @@ class CertificateResult:
 
 @dataclass
 class CertificateBundle:
+    """Certificate results plus ``tail_ok``: for each limit trajectory the
+    suite integrated (``N<n>`` for the first N, ``concentration_N<n>`` for
+    each concentration N), whether its truncation kept the terminal tail
+    mass within budget (``OdeSolution.tail_ok``)."""
+
     results: list[CertificateResult]
     hard_failure: Optional[str] = None
+    tail_ok: dict[str, bool] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -534,6 +540,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
     model = model or build_model(cfg.model)
     results: list[CertificateResult] = []
     tables: list[tuple[str, list[str], list[tuple]]] = []
+    tail_ok: dict[str, bool] = {}
     hard: Optional[str] = None
     rng = np.random.default_rng(cfg.master_seed)
     T = cfg.horizon
@@ -546,6 +553,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
 
     try:
         sol = integrate(model, x_rounded, T, J=J, rtol=cfg.rtol, atol=cfg.atol)
+        tail_ok[f"N{N0}"] = sol.tail_ok
         for name in cfg.checks:
             if name == "growth":
                 rep = check_growth(model, 1000)
@@ -634,6 +642,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                     xiN = round_initial(cfg.density, N)
                     solN = integrate(model, xiN.to_dense().astype(float) / N, T,
                                      J=J, rtol=cfg.rtol, atol=cfg.atol)
+                    tail_ok[f"concentration_N{N}"] = solN.tail_ok
                     rep = concentration_check(model, xiN, N, T, solN, reps,
                                               replica_seed(cfg.master_seed, N, 2 * 10 ** 6))
                     margin = float(rep.bound - rep.empirical_mean.max())
@@ -692,7 +701,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
             CapExceeded, CoupledCapExceeded) as err:
         hard = f"{type(err).__name__}: {err}"
 
-    bundle = CertificateBundle(results, hard)
+    bundle = CertificateBundle(results, hard, tail_ok)
     if write:
         stamp = f"config={cfg.config_hash()} master_seed={cfg.master_seed}"
         for fname, cols, rows in tables:
@@ -701,7 +710,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                   ["certificate", "passed", "margin", "detail"],
                   [(r.name, int(r.passed), r.margin, r.detail) for r in results]
                   + ([("hard_failure", 0, math.nan, hard)] if hard else []))
-        _write_metadata(cfg)
+        _write_metadata(cfg, {"tail_ok": tail_ok})
     return bundle
 
 

@@ -14,6 +14,13 @@ trajectory's sup host norm) and accepted with actual/dominating
 evaluated at the candidate time.  An actual rate above its dominator is
 a hard error: it means the model's envelope declarations are wrong.
 
+The acceptance test is a squeeze (Devroye 1986, II.5): on each segment
+of the limit's dense output a proven bound caps every frozen rate, and
+a candidate whose scaled acceptance uniform lies above that bound is
+rejected without evaluating the rate or the trajectory.  Candidates,
+uniforms and their order are those of plain thinning, so every path is
+the same bit for bit; only the ghosts (rejected candidates) get cheaper.
+
 Per-individual draw order: one exponential per candidate, one uniform
 for the candidate class (baseline moves consume it fully, including the
 target choice), then one acceptance uniform plus the model's target
@@ -27,7 +34,9 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,6 +47,10 @@ from .ssa import PathRecord, _KIND_INDEX
 from .state import PopulationState, l11_norm
 
 _SOUNDNESS_TOL = 1e-9
+# max of |h10| and |h11|, the cubic Hermite slope bases, on [0, 1]
+_HERMITE_SLOPE = 4.0 / 27.0
+# rounding slack of one dense-output evaluation, relative to its terms
+_HERMITE_ROUNDING = 16.0 * np.finfo(np.float64).eps
 
 
 class DominatingRateError(RuntimeError):
@@ -66,6 +79,18 @@ class TildeRates:
     or immigration) get zero dominators, which keeps thinning free for
     those channels.  ``simulate_coupled`` thins its trajectory-frozen
     side against these same dominators.
+
+    ``accepts`` decides a thinned candidate by a squeeze.  On segment k
+    of the dense output, ``excursions[k]`` bounds the l1 distance of
+    every dense-output state from the node ``y_k``, so a channel's rate
+    there is at most ``rate(y_k) + modulus(||pos(y_k)||_11) * E_k``
+    (``a01``, ``d1`` or ``b01``: nondecreasing moduli at the smaller l11
+    norm, and the positive part is 1-Lipschitz in l1).  A candidate
+    whose acceptance uniform, scaled by the global dominator, lies
+    above that bound is rejected unevaluated; otherwise the rate is
+    evaluated and checked against both bounds.  The uniform is drawn by
+    the caller exactly where plain thinning draws it, so the decision
+    and the stream are unchanged whenever the envelopes hold.
     """
 
     model: ModelSpec
@@ -73,11 +98,20 @@ class TildeRates:
     N: int
 
     def __post_init__(self):
-        e = self.model.interaction.envelopes
+        inter = self.model.interaction
+        e = inter.envelopes
         g = self.ode.G_T
         self.alpha_dom = e.alpha_dominator(g)
-        self.delta_dom = 0.0 if self.model.interaction.delta_zero else e.delta_dominator(g)
-        self.beta_dom = 0.0 if self.model.interaction.beta_zero else e.beta_dominator(g)
+        self.delta_dom = 0.0 if inter.delta_zero else e.delta_dominator(g)
+        self.beta_dom = 0.0 if inter.beta_zero else e.beta_dominator(g)
+        # kind -> (rate at a density, Lipschitz modulus)
+        self._channels = {
+            "interaction-move": (inter.alpha_total_at, e.a01),
+            "interaction-death": (inter.delta_at, e.d1),
+            "immigration": (lambda load, x: inter.beta_total_at(x), e.b01),
+        }
+        self._nodes = self.ode.ts.tolist()
+        self._bounds: dict[tuple[str, int, int], float] = {}
 
     def alpha_dom_at(self, i: int) -> float:
         loads = self.model.interaction.alpha_loads
@@ -88,17 +122,61 @@ class TildeRates:
     def density(self, t: float) -> np.ndarray:
         return self.ode.density(t)
 
-    def alpha_total_at(self, i: int, t: float) -> float:
-        a = self.model.interaction.alpha_total_at(i, self.density(t))
-        return check_dominated("interaction-move", i, a, self.alpha_dom_at(i), t)
+    @cached_property
+    def excursions(self) -> np.ndarray:
+        """Per segment k, a bound on ||density(t) - y_k||_1 over [t_k, t_{k+1}].
 
-    def delta_at(self, i: int, t: float) -> float:
-        d = self.model.interaction.delta_at(i, self.density(t))
-        return check_dominated("interaction-death", i, d, self.delta_dom, t)
+        ``E_k = ||y_{k+1} - y_k||_1 + h_k 4/27 (||f_k||_1 + ||f_{k+1}||_1)``,
+        since ``0 <= h01 <= 1`` and ``|h10|, |h11| <= 4/27`` on [0, 1],
+        plus a rounding slack of a few ulps of the evaluated terms.
+        """
+        ode = self.ode
+        h = np.diff(ode.ts)
+        f = np.abs(ode.fs).sum(axis=1)
+        y = np.abs(ode.ys).sum(axis=1)
+        slopes = h * (f[:-1] + f[1:])
+        dy = np.abs(np.diff(ode.ys, axis=0)).sum(axis=1)
+        return (dy + _HERMITE_SLOPE * slopes
+                + _HERMITE_ROUNDING * (y[:-1] + y[1:] + slopes))
 
-    def beta_total_at(self, t: float) -> float:
-        b = self.model.interaction.beta_total_at(self.density(t))
-        return check_dominated("immigration", -1, b, self.beta_dom, t)
+    def _dominator(self, kind: str, load: int) -> float:
+        if kind == "interaction-move":
+            return self.alpha_dom_at(load)
+        return self.delta_dom if kind == "interaction-death" else self.beta_dom
+
+    def bound(self, kind: str, load: int, t: float) -> float:
+        """The channel's rate bound on the dense-output segment holding t."""
+        nodes = self._nodes
+        k = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+        key = (kind, load, k)
+        bound = self._bounds.get(key)
+        if bound is None:
+            dom = self._dominator(kind, load)
+            if k < 0:           # a one-node solution has no segments
+                bound = dom
+            else:
+                rate, modulus = self._channels[kind]
+                y = self.ode.ys[k]
+                z = l11_norm(np.maximum(y, 0.0))
+                bound = min(dom, rate(load, y) + modulus(z) * float(self.excursions[k]))
+            self._bounds[key] = bound
+        return bound
+
+    def accepts(self, kind: str, load: int, t: float, v: float) -> bool:
+        """Thinning decision for a candidate of channel (kind, load) at t.
+
+        ``v`` is the candidate's acceptance uniform times the channel's
+        global dominator; the candidate is accepted iff ``v`` is below
+        the frozen rate at t.  Raises ``DominatingRateError`` when an
+        evaluated rate exceeds the global dominator or the segment bound.
+        """
+        bound = self.bound(kind, load, t)
+        if v >= bound * (1.0 + _SOUNDNESS_TOL):
+            return False
+        rate = self._channels[kind][0](load, self.ode.density(t))
+        check_dominated(kind, load, rate, self._dominator(kind, load), t)
+        check_dominated(kind, load, rate, bound, t)
+        return v < rate
 
 
 @dataclass
@@ -149,14 +227,12 @@ def simulate_individual(rates: TildeRates, i0: int, t0: float, T: float,
             path.alive = False
             return path
         elif u < astar + dbar + a_dom:
-            a = rates.alpha_total_at(i, t)
-            if rng.random() * a_dom < a:
+            if rates.accepts("interaction-move", i, t, rng.random() * a_dom):
                 target = int(inter.alpha_sample(i, rates.density(t), rng))
                 path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_MOVE], i, target))
                 i = target
         else:
-            d = rates.delta_at(i, t)
-            if rng.random() * rates.delta_dom < d:
+            if rates.accepts("interaction-death", i, t, rng.random() * rates.delta_dom):
                 path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_DEATH], i, -1))
                 path.alive = False
                 return path
@@ -171,16 +247,22 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
-                   ode: OdeSolution, seed) -> PathRecord:
+                   ode: OdeSolution, seed,
+                   rates: Optional[TildeRates] = None) -> PathRecord:
     """Superposed independent-individuals path as an aggregate record.
 
     One individual per initial host plus Poisson immigrants (rate N
     times the frozen immigration evaluator, realized by thinning).
     Events are merged by time with ties broken by individual index.
+    ``rates``, the ``TildeRates`` of ``model`` and ``ode``, lets the
+    replicas of one check share its segment bounds; it changes no path.
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
-    rates = TildeRates(model, ode, N)
+    if rates is None:
+        rates = TildeRates(model, ode, N)
+    elif rates.model is not model or rates.ode is not ode:
+        raise ValueError("rates must be the TildeRates of this model and limit solution")
     ss = _seed_sequence(seed)
     n_init = xi0.total_hosts
     children = ss.spawn(n_init + 1)
@@ -200,8 +282,7 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         t += imm_rng.exponential(1.0 / total_dom)
         if t > T:
             break
-        b = rates.beta_total_at(t)
-        if imm_rng.random() * rates.beta_dom < b:
+        if rates.accepts("immigration", -1, t, imm_rng.random() * rates.beta_dom):
             load = int(model.interaction.beta_sample(rates.density(t), imm_rng))
             events.append((t, idx, _KIND_INDEX[EventKind.IMMIGRATION], -1, load))
             ind = simulate_individual(rates, load, t, T, np.random.default_rng(ss.spawn(1)[0]))
@@ -227,9 +308,12 @@ def _replica_counts(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
     ``simulate_tilde`` is looked up as a module global at every call, so
     wrappers installed on ``tilde.simulate_tilde`` see every replica.
+    The replicas share one ``TildeRates``, whose segment bounds are
+    filled once for all of them.
     """
+    rates = TildeRates(model, ode, N)
     for child in _seed_sequence(seed).spawn(replicas):
-        path = simulate_tilde(model, xi0, N, T, ode, child)
+        path = simulate_tilde(model, xi0, N, T, ode, child, rates=rates)
         yield path, path.counts_at(ts, width).astype(np.float64)
 
 

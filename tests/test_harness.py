@@ -262,9 +262,9 @@ def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch, workers):
     assert all(row.replicas == 8 for row in rep.rows)
 
 
-def test_certify_mean_identity_paths_past_its_width(tmp_path):
-    # X~ replicas reach loads past max(J + 1, 13): the check reports a
-    # verdict and a certificates.csv instead of ending in a traceback
+def _heavy_config(tmp_path, checks) -> str:
+    # heavy offspring on truncation J = 6: X~ replicas reach loads past
+    # max(J + 1, 13), and the limit loses mass through the truncation
     cfg_path = tmp_path / "heavy.json"
     cfg_path.write_text(json.dumps({
         "model": {"name": "luchsinger_nonlinear", "lam": 2.0, "mu": 0.2, "kappa": 1.0,
@@ -272,12 +272,40 @@ def test_certify_mean_identity_paths_past_its_width(tmp_path):
         "initial": {"density": [0.5, 0.5]},
         "sim": {"n_list": [40], "horizon": 1.0, "master_seed": 1},
         "ode": {"truncation": 6},
-        "checks": {"run": ["mean_identity"], "replicas": 20},
+        "checks": {"run": checks, "replicas": 20},
         "output": {"directory": str(tmp_path / "out")},
     }))
-    assert cli_main(["certify", "--config", str(cfg_path)]) in (0, 1)
+    return str(cfg_path)
+
+
+def test_certify_mean_identity_paths_past_its_width(tmp_path):
+    # the check reports a verdict and a certificates.csv instead of
+    # ending in a traceback
+    cfg_path = _heavy_config(tmp_path, ["mean_identity"])
+    assert cli_main(["certify", "--config", cfg_path]) in (0, 1)
     assert "mean_identity," in (tmp_path / "out" / "certificates.csv").read_text()
     assert len((tmp_path / "out" / "mean_identity.csv").read_text().splitlines()) == 2 + 2 * 13
+
+
+def test_certify_reports_a_truncated_limit(tmp_path, capsys):
+    # every limit trajectory the suite integrates is named on stderr and
+    # in metadata.json when its truncation loses tail mass
+    cfg_path = _heavy_config(tmp_path, ["mean_identity", "concentration"])
+    assert cli_main(["certify", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        f"warning: terminal tail mass above budget; raise the truncation "
+        f"(limit trajectory {name})" for name in ("N40", "concentration_N40")]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["tail_ok"] == {"N40": False, "concentration_N40": False}
+    # a clean truncation warns about nothing and records True
+    cfg = small_config(tmp_path, checks={"run": ["concentration"], "replicas": 10})
+    bundle = run_certificates(cfg)
+    assert bundle.exit_code == 0
+    assert bundle.tail_ok == {"N20": True, "concentration_N20": True,
+                              "concentration_N40": True, "concentration_N80": True}
+    meta = json.loads((cfg.out_dir / "metadata.json").read_text())
+    assert meta["tail_ok"] == bundle.tail_ok
 
 
 # a density that no N of small_config's n_list rounds to exactly, so the

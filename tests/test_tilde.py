@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, pure_death_model
-from parasitelab import OffspringLaw, luchsinger_nonlinear
+from parasitelab import (OffspringLaw, kretzschmar_modified, luchsinger_linear,
+                         luchsinger_nonlinear, tilde)
+from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
-from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
+from parasitelab.rates import BaselineGenerator, Envelopes, EventKind, InteractionSpec, \
     ModelSpec
+from parasitelab.ssa import PathRecord, _KIND_INDEX
 from parasitelab.state import PopulationState, l11_norm
-from parasitelab.tilde import (DominatingRateError, TildeRates, concentration_check,
+from parasitelab.tilde import (DominatingRateError, IndividualPath, TildeRates,
+                               check_dominated, concentration_check,
                                mean_identity_check, moment_bound_check,
                                simulate_individual, simulate_tilde,
                                window_fluctuation_check)
@@ -219,3 +223,274 @@ def test_mean_identity_check_paths_past_its_width():
     assert max(widths) > max(sol.J + 1, max_load + 1)
     assert [(r.t, r.load) for r in rep.rows] == [(t, j) for t in ts for j in range(max_load + 1)]
     assert [r.empirical for r in rep.rows] == (sums / R).ravel().tolist()
+
+
+# ---------------------------------------------------------------------------
+# Plain thinning, the reference for the segment squeeze: the individual loop
+# and the immigration loop as they ran before ``TildeRates.accepts``, with
+# every candidate evaluating its frozen rate and checking it against the
+# global dominator only.
+# ---------------------------------------------------------------------------
+
+def _ref_alpha_total_at(rates, i, t):
+    a = rates.model.interaction.alpha_total_at(i, rates.density(t))
+    return check_dominated("interaction-move", i, a, rates.alpha_dom_at(i), t)
+
+
+def _ref_delta_at(rates, i, t):
+    d = rates.model.interaction.delta_at(i, rates.density(t))
+    return check_dominated("interaction-death", i, d, rates.delta_dom, t)
+
+
+def _ref_beta_total_at(rates, t):
+    b = rates.model.interaction.beta_total_at(rates.density(t))
+    return check_dominated("immigration", -1, b, rates.beta_dom, t)
+
+
+def ref_simulate_individual(rates, i0, t0, T, seed):
+    if t0 > T:
+        raise ValueError("t0 must be <= T")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    base = rates.model.baseline
+    inter = rates.model.interaction
+    path = IndividualPath(i0, t0)
+    i = i0
+    t = t0
+    while True:
+        astar = base.alpha_star(i)
+        dbar = base.dbar(i)
+        a_dom = rates.alpha_dom_at(i)
+        dom = astar + dbar + a_dom + rates.delta_dom
+        if dom <= 0.0:
+            break
+        t += rng.exponential(1.0 / dom)
+        if t > T:
+            break
+        u = rng.random() * dom
+        if u < astar:
+            chosen = base.sample_exit(i, u, 0.0)
+            path.events.append((t, _KIND_INDEX[EventKind.BASELINE_MOVE], i, chosen))
+            i = chosen
+        elif u < astar + dbar:
+            path.events.append((t, _KIND_INDEX[EventKind.BASELINE_DEATH], i, -1))
+            path.alive = False
+            return path
+        elif u < astar + dbar + a_dom:
+            a = _ref_alpha_total_at(rates, i, t)
+            if rng.random() * a_dom < a:
+                target = int(inter.alpha_sample(i, rates.density(t), rng))
+                path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_MOVE], i, target))
+                i = target
+        else:
+            d = _ref_delta_at(rates, i, t)
+            if rng.random() * rates.delta_dom < d:
+                path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_DEATH], i, -1))
+                path.alive = False
+                return path
+    path.final_load = i
+    return path
+
+
+def ref_simulate_tilde(model, xi0, N, T, ode, seed, rates=None):
+    # ``rates`` is accepted and ignored, so this can stand in for
+    # ``tilde.simulate_tilde`` under the checks
+    if ode.blow_up or ode.t_end < T - 1e-12:
+        raise ValueError("the limit solution must span [0, T] without blow-up")
+    rates = TildeRates(model, ode, N)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    n_init = xi0.total_hosts
+    children = ss.spawn(n_init + 1)
+
+    events = []
+    idx = 0
+    for load, count in xi0:
+        for _ in range(count):
+            ind = ref_simulate_individual(rates, load, 0.0, T,
+                                          np.random.default_rng(children[idx]))
+            events.extend((t, idx, k, lf, lt) for t, k, lf, lt in ind.events)
+            idx += 1
+
+    imm_rng = np.random.default_rng(children[n_init])
+    total_dom = N * rates.beta_dom
+    t = 0.0
+    while total_dom > 0.0:
+        t += imm_rng.exponential(1.0 / total_dom)
+        if t > T:
+            break
+        b = _ref_beta_total_at(rates, t)
+        if imm_rng.random() * rates.beta_dom < b:
+            load = int(model.interaction.beta_sample(rates.density(t), imm_rng))
+            events.append((t, idx, _KIND_INDEX[EventKind.IMMIGRATION], -1, load))
+            ind = ref_simulate_individual(rates, load, t, T,
+                                          np.random.default_rng(ss.spawn(1)[0]))
+            events.extend((te, idx, k, lf, lt) for te, k, lf, lt in ind.events)
+            idx += 1
+
+    events.sort(key=lambda e: (e[0], e[1]))
+    times = np.array([e[0] for e in events])
+    kinds = np.array([e[2] for e in events], dtype=np.int8)
+    lfrom = np.array([e[3] for e in events], dtype=np.int64)
+    lto = np.array([e[4] for e in events], dtype=np.int64)
+
+    path = PathRecord(model.name + "~", N, T, seed if isinstance(seed, int) else -1, xi0,
+                      times, kinds, lfrom, lto, xi0)
+    path.final = PopulationState.from_dense(path.counts_at([T])[0])
+    return path
+
+
+def _density_death_interaction(c: float) -> InteractionSpec:
+    # excess death at c times the infected density: a time-varying d1 channel
+    return InteractionSpec(
+        alpha_total=lambda i, x: 0.0, alpha_sample=None,
+        alpha_pointwise=lambda i, l, x: 0.0,
+        beta_total=lambda x: 0.0, beta_sample=None,
+        beta_pointwise=lambda i, x: 0.0,
+        delta=lambda i, x: c * float(x[1:].sum()),
+        envelopes=Envelopes(d1=lambda z: c),
+        alpha_loads=frozenset(), beta_zero=True,
+    )
+
+
+def _inert_baseline() -> BaselineGenerator:
+    return BaselineGenerator(lambda i: (), lambda i: 0.0, 1.0, 1.0)
+
+
+EXAMPLES = {
+    "luchsinger_nonlinear": (
+        lambda: luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)), [0.9, 0.1]),
+    "luchsinger_linear": (
+        lambda: luchsinger_linear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)), [0.0, 0.9, 0.1]),
+    "kretzschmar_modified": (
+        lambda: kretzschmar_modified(1.5, OffspringLaw.poisson(0.6), 1.0, 0.3, 0.2,
+                                     beta_birth=0.5, birth_discount=0.9, c=1.0),
+        [0.5, 0.3, 0.2]),
+}
+# a growing epidemic: the infection rate rises inside every segment
+GROWING = (lambda: luchsinger_nonlinear(3.0, 1.0, 1.0, OffspringLaw.poisson(1.0)), [0.95, 0.05])
+COARSE = {"rtol": 0.5, "atol": 0.05}
+
+# name -> (model factory, x0, truncation J, integrate options)
+REFERENCE_CASES = {
+    **{name: (make, x0, 54, {}) for name, (make, x0) in EXAMPLES.items()},
+    "constant_excess_death": (
+        lambda: ModelSpec("kill", _inert_baseline(), _const_death_interaction(0.8)),
+        [1.0], 1, {}),
+    "constant_immigration": (
+        lambda: ModelSpec("imm", _inert_baseline(), _const_immigration_interaction(0.4)),
+        [1.0], 1, {}),
+    "density_excess_death": (
+        lambda: ModelSpec("cull", pure_death_model(1.0).baseline,
+                          _density_death_interaction(1.5)),
+        [0.2, 0.8], 1, {}),
+    "kretzschmar_modified_coarse": (*EXAMPLES["kretzschmar_modified"], 54, COARSE),
+    "growing_coarse": (*GROWING, 54, COARSE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_squeeze_reproduces_plain_thinning(case):
+    # same candidates, same uniforms, same decisions: bit-identical paths
+    make, x0, J, opts = REFERENCE_CASES[case]
+    model = make()
+    N, T = 20, 1.0
+    sol = integrate(model, np.array(x0), T, J=J, **opts)
+    xi0 = round_initial(np.array(x0), N)
+    rates, ref_rates = TildeRates(model, sol, N), TildeRates(model, sol, N)
+    for seed in range(200):
+        new = simulate_tilde(model, xi0, N, T, sol, seed,
+                             rates=rates if seed % 2 else None)
+        ref = ref_simulate_tilde(model, xi0, N, T, sol, seed)
+        for name in ("times", "kinds", "load_from", "load_to"):
+            a, b = getattr(new, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
+        assert new.final == ref.final
+        for i0 in (0, xi0.max_load):
+            assert (simulate_individual(rates, i0, 0.0, T, seed)
+                    == ref_simulate_individual(ref_rates, i0, 0.0, T, seed)), (seed, i0)
+
+
+def test_squeeze_evaluates_a_tenth_of_the_rates(model61, sol61, xi0_100, monkeypatch):
+    # criterion 06's check: the same report from at most a tenth of the
+    # alpha_total calls that plain thinning makes
+    calls = [0]
+
+    def counted(i, x):
+        calls[0] += 1
+        return model61.interaction.alpha_total(i, x)
+
+    model = ModelSpec(model61.name, model61.baseline,
+                      dataclasses.replace(model61.interaction, alpha_total=counted))
+
+    def run():
+        calls[0] = 0
+        rep = mean_identity_check(model, xi0_100, 100, 2.0, sol61, replicas=40,
+                                  seed=np.random.SeedSequence(614),
+                                  ts=[0.5, 1.0, 2.0], max_load=11)
+        return rep, calls[0]
+
+    new, new_calls = run()
+    monkeypatch.setattr(tilde, "simulate_tilde", ref_simulate_tilde)
+    ref, ref_calls = run()
+    assert new.rows == ref.rows
+    assert ref_calls > 0 and new_calls <= 0.1 * ref_calls, (new_calls, ref_calls)
+
+
+@pytest.mark.parametrize("opts", [{}, COARSE], ids=["default", "coarse"])
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_segment_bounds_cover_the_dense_output(name, opts):
+    make, x0 = EXAMPLES[name]
+    model = make()
+    inter = model.interaction
+    sol = integrate(model, np.array(x0), 1.0, J=54, **opts)
+    e = inter.envelopes
+    rates = TildeRates(model, sol, 20)
+    E = rates.excursions
+    assert E.shape == (sol.ts.size - 1,)
+    f = np.abs(sol.fs).sum(axis=1)
+    for k in range(sol.ts.size - 1):
+        # E_k is the Hermite excursion formula plus a few ulps of rounding slack
+        h = sol.ts[k + 1] - sol.ts[k]
+        formula = np.abs(sol.ys[k + 1] - sol.ys[k]).sum() + h * 4 / 27 * (f[k] + f[k + 1])
+        assert formula <= E[k] <= formula + 1e-13
+        # the bound is min(dominator, rate(y_k) + modulus(||pos y_k||_11) E_k)
+        y, z = sol.ys[k], l11_norm(np.maximum(sol.ys[k], 0.0))
+        assert rates.bound("immigration", -1, sol.ts[k]) == min(
+            rates.beta_dom, inter.beta_total_at(y) + e.b01(z) * E[k])
+        for i in range(6):
+            assert rates.bound("interaction-move", i, sol.ts[k]) == min(
+                rates.alpha_dom_at(i), inter.alpha_total_at(i, y) + e.a01(z) * E[k])
+        grid = np.linspace(sol.ts[k], sol.ts[k + 1], 257)
+        xs = sol.density_many(grid)
+        excursion = np.abs(np.maximum(xs, 0.0) - np.maximum(sol.ys[k], 0.0)).sum(axis=1)
+        assert excursion.max() <= E[k], (k, excursion.max(), E[k])
+        # t_{k+1} opens segment k + 1, so the rates run over [t_k, t_{k+1})
+        for t, x in zip(grid[:-1], xs[:-1]):
+            for i in range(6):
+                assert inter.alpha_total_at(i, x) <= rates.bound("interaction-move", i, t)
+                assert inter.delta_at(i, x) <= rates.bound("interaction-death", i, t)
+            assert inter.beta_total_at(x) <= rates.bound("immigration", -1, t)
+
+
+def test_local_bound_fault_injection():
+    # a01(0) is right, so the global dominator holds and plain thinning
+    # runs clean, but a01(z) = 0 for z > 0 leaves the segment bound at
+    # rate(y_k), which the rising infection rate passes inside a segment
+    make, x0 = GROWING
+    model = make()
+    env = dataclasses.replace(model.interaction.envelopes,
+                              a01=lambda z: 3.0 if z == 0.0 else 0.0)
+    bad = ModelSpec(model.name, model.baseline,
+                    dataclasses.replace(model.interaction, envelopes=env))
+    sol = integrate(model, np.array(x0), 1.0, J=54)
+    xi0 = round_initial(np.array(x0), 100)
+    for s in range(50):
+        ref_simulate_tilde(bad, xi0, 100, 1.0, sol, s)
+    with pytest.raises(DominatingRateError):
+        for s in range(50):
+            simulate_tilde(bad, xi0, 100, 1.0, sol, s)
+
+
+def test_simulate_tilde_rejects_foreign_rates(model61, xi0_100, sol61_T1, sol61):
+    rates = TildeRates(model61, sol61, 100)
+    with pytest.raises(ValueError):
+        simulate_tilde(model61, xi0_100, 100, 1.0, sol61_T1, 0, rates=rates)
