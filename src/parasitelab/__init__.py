@@ -14,8 +14,6 @@ Layers, from the bottom up:
     probability space, with pathwise decoupling accounting.
   - ``harness``: experiment orchestration, convergence studies and CSV
     emission; ``cli`` exposes it all as subcommands.
-  - ``oracle``: brute-force transient analysis of tiny instances
-    (test support only; nothing else imports it).
 """
 
 from .state import (
@@ -68,7 +66,6 @@ from .tilde import (
     concentration_check,
     mean_identity_check,
     moment_bound_check,
-    simulate_individual,
     simulate_tilde,
     window_fluctuation_check,
 )

@@ -5,7 +5,9 @@ Subcommands: ``simulate`` (one exact path), ``ode`` (limit trajectory),
 replicas with summary CSV), ``converge`` (the rate study) and
 ``certify`` (the certificate suite; its exit status is the pass/fail
 contract).  Every subcommand takes ``--config`` plus targeted
-overrides; a config that cannot be loaded exits 2 as a usage error.
+overrides; a config that cannot be loaded exits 2 as a usage error, and
+a hard failure (``harness.HARD_FAILURES``) exits 2 with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (ExperimentConfig, coupled_summary, run_certificates,
+from .harness import (HARD_FAILURES, ExperimentConfig, coupled_summary, run_certificates,
                       run_convergence, single_ode, single_ssa, single_tilde)
 
 TAIL_WARNING = "warning: terminal tail mass above budget; raise the truncation"
@@ -53,7 +55,14 @@ def main(argv=None) -> int:
         parser.error(f"config {args.config}: {err}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     stamp = f"config={cfg.config_hash()} master_seed={cfg.master_seed}"
+    try:
+        return _run(args, cfg, stamp)
+    except HARD_FAILURES as err:
+        print(f"HARD FAILURE: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
+
+def _run(args, cfg: ExperimentConfig, stamp: str) -> int:
     if args.command == "simulate":
         path = single_ssa(cfg, args.n, args.seed)
         path.write_csv(cfg.out_dir / "path.csv", header_extra=stamp)

@@ -46,6 +46,9 @@ from .tilde import (DominatingRateError, concentration_check,
                     mean_identity_check, moment_bound_check, simulate_tilde)
 
 WORKERS_ENV = "PARASITELAB_WORKERS"
+# a hard invariant fired or a run could not complete: exit status 2
+HARD_FAILURES = (DominatingRateError, CouplingInvariantError, BlowUpError, StiffnessError,
+                 CapExceeded, CoupledCapExceeded)
 
 CONFIG_SECTIONS = ("model", "initial", "sim", "ode", "checks", "output")
 # accepted keys per section; the model section is checked by _check_model
@@ -697,8 +700,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                                 for r, run in enumerate(runs)]))
             else:
                 raise ValueError(f"unknown certificate {name!r}")
-    except (DominatingRateError, CouplingInvariantError, BlowUpError, StiffnessError,
-            CapExceeded, CoupledCapExceeded) as err:
+    except HARD_FAILURES as err:
         hard = f"{type(err).__name__}: {err}"
 
     bundle = CertificateBundle(results, hard, tail_ok)
@@ -754,7 +756,8 @@ def coupled_summary(cfg: ExperimentConfig, N: Optional[int] = None,
     xi0 = round_initial(cfg.density, N)
     sol = single_ode(cfg, N)
     runs = [simulate_coupled(model, xi0, N, cfg.horizon, sol,
-                             replica_seed(cfg.master_seed, N, r), eval_times=[cfg.horizon])
+                             replica_seed(cfg.master_seed, N, r), eval_times=[cfg.horizon],
+                             event_cap=cfg.event_cap)
             for r in range(R)]
     if write:
         stamp = f"config={cfg.config_hash()} master_seed={cfg.master_seed}"

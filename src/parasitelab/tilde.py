@@ -17,33 +17,38 @@ a hard error: it means the model's envelope declarations are wrong.
 The acceptance test is a squeeze (Devroye 1986, II.5): on each segment
 of the limit's dense output a proven bound caps every frozen rate, and
 a candidate whose scaled acceptance uniform lies above that bound is
-rejected without evaluating the rate or the trajectory.  Candidates,
-uniforms and their order are those of plain thinning, so every path is
-the same bit for bit; only the ghosts (rejected candidates) get cheaper.
+rejected without evaluating the rate or the trajectory.  The decision
+is that of plain thinning on the same uniform, so only the ghosts
+(rejected candidates) get cheaper.
 
-Per-individual draw order: one exponential per candidate, one uniform
-for the candidate class (baseline moves consume it fully, including the
-target choice), then one acceptance uniform plus the model's target
-draws for interaction candidates.  Individuals get independent child
-seeds in a fixed order (initial hosts ascending by load then index, the
-immigration clock, then immigrants in arrival order), so permuting
-hosts never changes the aggregate law and the merged path is
-reproducible bit for bit.
+Since individuals are independent, a replica advances all of them in
+lockstep rounds on one generator, seeded by the replica's seed.  Draw
+order: first the immigration clock (a Poisson candidate count on [0, T],
+sorted uniform candidate times, one acceptance uniform per candidate,
+then one ``beta_sample`` per accepted arrival); immigrants join the
+initial hosts (ascending by load) at their arrival times, in arrival
+order.  Then each round draws, over the individuals still running in
+index order, one exponential waiting time and one class uniform
+(baseline moves consume it fully, including the target choice; an
+individual whose next candidate falls past T stops and leaves its
+uniform unused), then one acceptance uniform per thinned interaction
+candidate, then one ``alpha_sample`` per accepted interaction move.  The
+merged path orders the events by time, ties broken by individual index.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .ode import OdeSolution
-from .rates import EventKind, ModelSpec, bound_constants
-from .ssa import PathRecord, _KIND_INDEX
+from .rates import ModelSpec, bound_constants
+from .ssa import (PathRecord, _BASE_DEATH, _BASE_MOVE, _IMMIGRATION, _INTERACTION_DEATH,
+                  _INTERACTION_MOVE)
 from .state import PopulationState, l11_norm
 
 _SOUNDNESS_TOL = 1e-9
@@ -51,6 +56,16 @@ _SOUNDNESS_TOL = 1e-9
 _HERMITE_SLOPE = 4.0 / 27.0
 # rounding slack of one dense-output evaluation, relative to its terms
 _HERMITE_ROUNDING = 16.0 * np.finfo(np.float64).eps
+# the thinned channels; ``accepts`` takes indices into CHANNELS
+CHANNELS = ("interaction-move", "interaction-death", "immigration")
+MOVE, DEATH, IMMIGRATION = range(len(CHANNELS))
+# candidate classes of an individual: baseline move, baseline death,
+# interaction move, interaction death; the immigration clock's arrivals
+# are recorded as a fifth class
+_IMMIGRATION_CLASS = 4
+_CLASS_KIND = np.array([_BASE_MOVE, _BASE_DEATH, _INTERACTION_MOVE, _INTERACTION_DEATH,
+                        _IMMIGRATION], dtype=np.int8)
+_CLASS_DIES = np.array([False, True, False, True, False])
 
 
 class DominatingRateError(RuntimeError):
@@ -80,7 +95,7 @@ class TildeRates:
     those channels.  ``simulate_coupled`` thins its trajectory-frozen
     side against these same dominators.
 
-    ``accepts`` decides a thinned candidate by a squeeze.  On segment k
+    ``accepts`` decides thinned candidates by a squeeze.  On segment k
     of the dense output, ``excursions[k]`` bounds the l1 distance of
     every dense-output state from the node ``y_k``, so a channel's rate
     there is at most ``rate(y_k) + modulus(||pos(y_k)||_11) * E_k``
@@ -88,9 +103,11 @@ class TildeRates:
     norm, and the positive part is 1-Lipschitz in l1).  A candidate
     whose acceptance uniform, scaled by the global dominator, lies
     above that bound is rejected unevaluated; otherwise the rate is
-    evaluated and checked against both bounds.  The uniform is drawn by
-    the caller exactly where plain thinning draws it, so the decision
-    and the stream are unchanged whenever the envelopes hold.
+    evaluated and checked against both bounds.  The decision is plain
+    thinning's whenever the envelopes hold.
+
+    The per-load thinning table (``per_load``) and the segment bounds
+    are filled lazily, for the loads and segments that candidates reach.
     """
 
     model: ModelSpec
@@ -104,14 +121,15 @@ class TildeRates:
         self.alpha_dom = e.alpha_dominator(g)
         self.delta_dom = 0.0 if inter.delta_zero else e.delta_dominator(g)
         self.beta_dom = 0.0 if inter.beta_zero else e.beta_dominator(g)
-        # kind -> (rate at a density, Lipschitz modulus)
-        self._channels = {
-            "interaction-move": (inter.alpha_total_at, e.a01),
-            "interaction-death": (inter.delta_at, e.d1),
-            "immigration": (lambda load, x: inter.beta_total_at(x), e.b01),
-        }
-        self._nodes = self.ode.ts.tolist()
-        self._bounds: dict[tuple[str, int, int], float] = {}
+        # per channel of CHANNELS: (rate at a density, Lipschitz modulus)
+        self._channels = (
+            (inter.alpha_total_at, e.a01),
+            (inter.delta_at, e.d1),
+            (lambda load, x: inter.beta_total_at(x), e.b01),
+        )
+        self._per_load = np.empty((0, 7))
+        # segment bounds by (channel, load, segment); nan until evaluated
+        self._bounds = np.empty((len(CHANNELS), 0, max(self.ode.ts.size - 1, 1)))
 
     def alpha_dom_at(self, i: int) -> float:
         loads = self.model.interaction.alpha_loads
@@ -119,8 +137,27 @@ class TildeRates:
             return 0.0
         return self.alpha_dom
 
-    def density(self, t: float) -> np.ndarray:
-        return self.ode.density(t)
+    def per_load(self, top: int) -> np.ndarray:
+        """Thinning table with a row for every load 0..top (or more).
+
+        Columns: the class thresholds ``astar``, ``astar + dbar`` and
+        ``astar + dbar + alpha_dom``; the total dominating rate ``dom``
+        (plus ``delta_dom``); ``1 / dom`` (inf for a load that never
+        jumps); then ``alpha_dom`` and ``delta_dom``, the dominators of
+        the thinned classes.
+        """
+        table = self._per_load
+        if table.shape[0] <= top:
+            base = self.model.baseline
+            rows = []
+            for i in range(table.shape[0], top + 1):
+                astar, adom = base.alpha_star(i), self.alpha_dom_at(i)
+                c2 = astar + base.dbar(i)
+                dom = c2 + adom + self.delta_dom
+                rows.append((astar, c2, c2 + adom, dom, 1.0 / dom if dom > 0.0 else math.inf,
+                             adom, self.delta_dom))
+            table = self._per_load = np.vstack([table, rows])
+        return table
 
     @cached_property
     def excursions(self) -> np.ndarray:
@@ -139,105 +176,66 @@ class TildeRates:
         return (dy + _HERMITE_SLOPE * slopes
                 + _HERMITE_ROUNDING * (y[:-1] + y[1:] + slopes))
 
-    def _dominator(self, kind: str, load: int) -> float:
-        if kind == "interaction-move":
+    def _dominator(self, channel: int, load: int) -> float:
+        if channel == MOVE:
             return self.alpha_dom_at(load)
-        return self.delta_dom if kind == "interaction-death" else self.beta_dom
+        return self.delta_dom if channel == DEATH else self.beta_dom
 
-    def bound(self, kind: str, load: int, t: float) -> float:
-        """The channel's rate bound on the dense-output segment holding t."""
-        nodes = self._nodes
-        k = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
-        key = (kind, load, k)
-        bound = self._bounds.get(key)
-        if bound is None:
-            dom = self._dominator(kind, load)
-            if k < 0:           # a one-node solution has no segments
-                bound = dom
-            else:
-                rate, modulus = self._channels[kind]
-                y = self.ode.ys[k]
-                z = l11_norm(np.maximum(y, 0.0))
-                bound = min(dom, rate(load, y) + modulus(z) * float(self.excursions[k]))
-            self._bounds[key] = bound
-        return bound
+    def _segment_bound(self, channel: int, load: int, k: int) -> float:
+        dom = self._dominator(channel, load)
+        if self.ode.ts.size < 2:        # a one-node solution has no segments
+            return dom
+        rate, modulus = self._channels[channel]
+        y = self.ode.ys[k]
+        z = l11_norm(np.maximum(y, 0.0))
+        return min(dom, rate(load, y) + modulus(z) * float(self.excursions[k]))
 
-    def accepts(self, kind: str, load: int, t: float, v: float) -> bool:
-        """Thinning decision for a candidate of channel (kind, load) at t.
+    def bounds(self, channels: np.ndarray, loads: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Per candidate, its channel's rate bound on the segment holding its time.
 
-        ``v`` is the candidate's acceptance uniform times the channel's
-        global dominator; the candidate is accepted iff ``v`` is below
-        the frozen rate at t.  Raises ``DominatingRateError`` when an
-        evaluated rate exceeds the global dominator or the segment bound.
+        ``channels`` index ``CHANNELS``; immigration candidates carry load -1.
         """
-        bound = self.bound(kind, load, t)
-        if v >= bound * (1.0 + _SOUNDNESS_TOL):
-            return False
-        rate = self._channels[kind][0](load, self.ode.density(t))
-        check_dominated(kind, load, rate, self._dominator(kind, load), t)
-        check_dominated(kind, load, rate, bound, t)
-        return v < rate
+        ks = np.searchsorted(self.ode.ts[1:-1], ts, side="right")
+        rows = np.maximum(loads, 0)             # immigration has one row
+        height = int(rows.max(initial=0)) + 1
+        if self._bounds.shape[1] < height:
+            grown = np.full((len(CHANNELS), height, self._bounds.shape[2]), np.nan)
+            grown[:, : self._bounds.shape[1]] = self._bounds
+            self._bounds = grown
+        out = self._bounds[channels, rows, ks]
+        miss = np.isnan(out)
+        if miss.any():
+            for c, load, k in set(zip(channels[miss].tolist(), loads[miss].tolist(),
+                                      ks[miss].tolist())):
+                self._bounds[c, max(load, 0), k] = self._segment_bound(c, load, k)
+            out = self._bounds[channels, rows, ks]
+        return out
 
+    def accepts(self, channels: np.ndarray, loads: np.ndarray, ts: np.ndarray,
+                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Thinning decisions for candidates of the channels ``CHANNELS[channels]``.
 
-@dataclass
-class IndividualPath:
-    """One individual's trajectory: jump list and survival status."""
-
-    start_load: int
-    start_time: float
-    events: list[tuple[float, int, int, int]] = field(default_factory=list)
-    alive: bool = True
-    final_load: Optional[int] = None
-
-
-def simulate_individual(rates: TildeRates, i0: int, t0: float, T: float,
-                        seed) -> IndividualPath:
-    """Exact thinned realization of one individual from (i0, t0) to T.
-
-    Baseline moves and death are time-homogeneous and drawn exactly;
-    the trajectory-frozen interaction move and excess-death rates are
-    thinned against their dominators.  Death ends the trajectory (the
-    cemetery never appears in any count).
-    """
-    if t0 > T:
-        raise ValueError("t0 must be <= T")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    base = rates.model.baseline
-    inter = rates.model.interaction
-    path = IndividualPath(i0, t0)
-    i = i0
-    t = t0
-    while True:
-        astar = base.alpha_star(i)
-        dbar = base.dbar(i)
-        a_dom = rates.alpha_dom_at(i)
-        dom = astar + dbar + a_dom + rates.delta_dom
-        if dom <= 0.0:
-            break
-        t += rng.exponential(1.0 / dom)
-        if t > T:
-            break
-        u = rng.random() * dom
-        if u < astar:
-            chosen = base.sample_exit(i, u, 0.0)
-            path.events.append((t, _KIND_INDEX[EventKind.BASELINE_MOVE], i, chosen))
-            i = chosen
-        elif u < astar + dbar:
-            path.events.append((t, _KIND_INDEX[EventKind.BASELINE_DEATH], i, -1))
-            path.alive = False
-            return path
-        elif u < astar + dbar + a_dom:
-            if rates.accepts("interaction-move", i, t, rng.random() * a_dom):
-                target = int(inter.alpha_sample(i, rates.density(t), rng))
-                path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_MOVE], i, target))
-                i = target
-        else:
-            if rates.accepts("interaction-death", i, t, rng.random() * rates.delta_dom):
-                path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_DEATH], i, -1))
-                path.alive = False
-                return path
-    path.final_load = i
-    return path
+        ``vs`` are the candidates' acceptance uniforms times their
+        channel's global dominator; candidate j is accepted iff ``vs[j]``
+        is below its frozen rate at ``ts[j]``.  Returns the indices of
+        the accepted candidates, ascending, and the limit density at each
+        of their times (for the samplers of accepted moves and arrivals).
+        Raises ``DominatingRateError`` when an evaluated rate exceeds the
+        global dominator or the segment bound.
+        """
+        bound = self.bounds(channels, loads, ts)
+        live = (vs < bound * (1.0 + _SOUNDNESS_TOL)).nonzero()[0]
+        if not live.size:
+            return live, np.zeros((0, self.ode.J + 1))
+        xs = self.ode.density_many(ts[live])
+        accepted = np.zeros(live.size, dtype=bool)
+        for n, (j, x) in enumerate(zip(live.tolist(), xs)):
+            c, load, t = int(channels[j]), int(loads[j]), float(ts[j])
+            rate = self._channels[c][0](load, x)
+            check_dominated(CHANNELS[c], load, rate, self._dominator(c, load), t)
+            check_dominated(CHANNELS[c], load, rate, float(bound[j]), t)
+            accepted[n] = vs[j] < rate
+        return live[accepted], xs[accepted]
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -252,10 +250,14 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     """Superposed independent-individuals path as an aggregate record.
 
     One individual per initial host plus Poisson immigrants (rate N
-    times the frozen immigration evaluator, realized by thinning).
-    Events are merged by time with ties broken by individual index.
-    ``rates``, the ``TildeRates`` of ``model`` and ``ode``, lets the
-    replicas of one check share its segment bounds; it changes no path.
+    times the frozen immigration evaluator, realized by thinning), all
+    advanced in lockstep rounds on one generator (draw order in the
+    module docstring).  Baseline moves and death are time-homogeneous
+    and drawn exactly; the frozen interaction move and excess-death
+    rates are thinned against their dominators.  Death ends an
+    individual (the cemetery never appears in any count).  ``rates``,
+    the ``TildeRates`` of ``model`` and ``ode``, lets the replicas of
+    one check share its tables; it changes no path.
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
@@ -263,42 +265,68 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         rates = TildeRates(model, ode, N)
     elif rates.model is not model or rates.ode is not ode:
         raise ValueError("rates must be the TildeRates of this model and limit solution")
-    ss = _seed_sequence(seed)
+    rng = np.random.default_rng(seed)
+    base, inter = model.baseline, model.interaction
+    dense0 = xi0.to_dense()
     n_init = xi0.total_hosts
-    children = ss.spawn(n_init + 1)
 
-    events: list[tuple[float, int, int, int, int]] = []
-    idx = 0
-    for load, count in xi0:
-        for _ in range(count):
-            ind = simulate_individual(rates, load, 0.0, T, np.random.default_rng(children[idx]))
-            events.extend((t, idx, k, lf, lt) for t, k, lf, lt in ind.events)
-            idx += 1
+    # immigration clock: candidates of the dominating Poisson process
+    arrivals, entry = np.zeros(0), np.zeros(0, dtype=np.int64)
+    if rates.beta_dom > 0.0:
+        arrivals = np.sort(rng.random(rng.poisson(N * rates.beta_dom * T))) * T
+        v = rng.random(arrivals.size) * rates.beta_dom
+        hit, xs = rates.accepts(np.full(arrivals.size, IMMIGRATION),
+                                np.full(arrivals.size, -1), arrivals, v)
+        arrivals = arrivals[hit]
+        entry = np.array([inter.beta_sample(x, rng) for x in xs], dtype=np.int64)
 
-    imm_rng = np.random.default_rng(children[n_init])
-    total_dom = N * rates.beta_dom
-    t = 0.0
-    while total_dom > 0.0:
-        t += imm_rng.exponential(1.0 / total_dom)
-        if t > T:
-            break
-        if rates.accepts("immigration", -1, t, imm_rng.random() * rates.beta_dom):
-            load = int(model.interaction.beta_sample(rates.density(t), imm_rng))
-            events.append((t, idx, _KIND_INDEX[EventKind.IMMIGRATION], -1, load))
-            ind = simulate_individual(rates, load, t, T, np.random.default_rng(ss.spawn(1)[0]))
-            events.extend((te, idx, k, lf, lt) for te, k, lf, lt in ind.events)
-            idx += 1
+    ids = np.arange(n_init + arrivals.size)
+    # per round: time, individual, class, load, new load, jumped
+    rounds = [(arrivals, ids[n_init:], np.full(arrivals.size, _IMMIGRATION_CLASS),
+               np.full(arrivals.size, -1), entry, np.ones(arrivals.size, dtype=bool))]
+    # the individuals still running, in index order: index, load, clock
+    act = ids
+    cur = np.concatenate([np.repeat(np.arange(dense0.size), dense0), entry])
+    clock = np.concatenate([np.zeros(n_init), arrivals])
+    top = int(cur.max(initial=0))
+    finished = [np.zeros(0, dtype=np.int64)]      # loads of the individuals alive at T
+    while act.size:
+        row = rates.per_load(top)[cur]
+        t = clock + rng.standard_exponential(act.size) * row[:, 4]
+        u = rng.random(act.size) * row[:, 3]
+        cls = (u[:, None] >= row[:, :3]).sum(axis=1)
+        running = t <= T
+        jumped = running & (cls < 2)
+        thin = (running & (cls >= 2)).nonzero()[0]
+        hit, xs = thin, ()
+        if thin.size:
+            # classes 2 and 3 are the channels MOVE and DEATH, whose
+            # dominators sit in table columns 5 and 6
+            kinds = cls[thin]
+            v = rng.random(thin.size) * row[thin, kinds + 3]
+            hit, xs = rates.accepts(kinds - 2, cur[thin], t[thin], v)
+            hit = thin[hit]
+            jumped[hit] = True
+        to = np.where(jumped & _CLASS_DIES[cls], -1, cur)
+        for j in (jumped & (cls == 0)).nonzero()[0].tolist():
+            to[j] = target = base.sample_exit(int(cur[j]), float(u[j]), 0.0)
+            top = max(top, target)
+        for j, x in zip(hit.tolist(), xs):
+            if cls[j] == 2:
+                to[j] = target = int(inter.alpha_sample(int(cur[j]), x, rng))
+                top = max(top, target)
+        rounds.append((t, act, cls, cur, to, jumped))
+        finished.append(cur[~running])
+        keep = running & (to >= 0)
+        act, cur, clock = act[keep], to[keep], t[keep]
 
-    events.sort(key=lambda e: (e[0], e[1]))
-    times = np.array([e[0] for e in events])
-    kinds = np.array([e[2] for e in events], dtype=np.int8)
-    lfrom = np.array([e[3] for e in events], dtype=np.int64)
-    lto = np.array([e[4] for e in events], dtype=np.int64)
-
-    path = PathRecord(model.name + "~", N, T, seed if isinstance(seed, int) else -1, xi0,
-                      times, kinds, lfrom, lto, xi0)     # final: replayed below
-    path.final = PopulationState.from_dense(path.counts_at([T])[0])
-    return path
+    times, who, cls, lfrom, lto, jumped = (np.concatenate(col) for col in zip(*rounds))
+    hit = jumped.nonzero()[0]
+    hit = hit[np.lexsort((who[hit], times[hit]))]
+    final = np.bincount(np.concatenate(finished))
+    return PathRecord(model.name + "~", N, T, seed if isinstance(seed, int) else -1, xi0,
+                      times[hit], _CLASS_KIND[cls[hit]], lfrom[hit], lto[hit],
+                      PopulationState.from_dense(final))
 
 
 def _replica_counts(model: ModelSpec, xi0: PopulationState, N: int, T: float,

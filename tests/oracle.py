@@ -6,8 +6,8 @@ and computes transient moments through the matrix exponential.  Rate
 mass leaving the caps accumulates in one absorbing overflow state whose
 transient mass must stay below a budget for the oracle to be usable.
 
-Production code never imports this module; it exists to give the test
-suite an independent reference for the event-driven simulator.
+It lives with the tests, which use it as an independent reference for
+the event-driven simulator.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .rates import ModelSpec
-from .state import PopulationState
+from parasitelab.rates import ModelSpec
+from parasitelab.state import PopulationState
 
 STATE_CAP_DEFAULT = 5_000
 

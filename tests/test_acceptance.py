@@ -9,12 +9,12 @@ import math
 import numpy as np
 
 from conftest import STANDARD_X0
+from oracle import enumerate_chain, transient_moments
 from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
     luchsinger_nonlinear
 from parasitelab.coupling import martingale_balance_check, simulate_coupled
 from parasitelab.harness import ExperimentConfig, round_initial, run_convergence
 from parasitelab.ode import integrate, semigroup_apply
-from parasitelab.oracle import enumerate_chain, transient_moments
 from parasitelab.rates import (BaselineGenerator, Envelopes, InteractionSpec,
                                ModelSpec, semigroup_moment)
 from parasitelab.ssa import simulate

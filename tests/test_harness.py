@@ -459,6 +459,25 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, runaway, error", [
+    ("simulate", False, "CapExceeded"),
+    ("ode", True, "BlowUpError"),
+    ("tilde", True, "BlowUpError"),
+    ("couple", False, "CoupledCapExceeded"),
+])
+def test_cli_hard_failures_exit_2(tmp_path, capsys, command, runaway, error):
+    # criterion 09's model under an event cap of 3, or a limit trajectory
+    # that blows up before the horizon: one stderr line, exit 2
+    raw = small_config(tmp_path, sim={"horizon": 2.0, "event_cap": 3}).raw
+    if runaway:
+        raw["model"] = RUNAWAY_MODEL
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"HARD FAILURE: {error}: ") and err.count("\n") == 1, err
+
+
 def test_cli_bad_model_section_exits_2(tmp_path, capsys):
     # a misspelled model name and a missing parameter are usage errors,
     # reported before any certificate runs

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import pure_death_model
-from parasitelab.oracle import (OracleCapExceeded, OracleInadmissible,
+from oracle import (OracleCapExceeded, OracleInadmissible,
                                 enumerate_chain, transient_moments)
 from parasitelab.rates import BaselineGenerator, ModelSpec
 from parasitelab.state import PopulationState

@@ -51,31 +51,31 @@ MODELS = {
 EXPECTED = {
     "kretzschmar_modified": {
         "ssa/N20": "5e61fcbe762e7637c42b19bd29b881c735caa980506866d1826fec5dbde50527",
-        "tilde/N20": "f81809ba9bd26a6fd5b0e0706c33ef0a121363f7d876b07245b13902428c946c",
+        "tilde/N20": "3224b06e430138648406163f085a571e974c812724ed7869aed088b62137c86b",
         "coupled/N20": "8ea27daa031c37ed2727e2ff431821ef845f22bdadd9f412adee069928379d05",
         "compensator/N20": "893f8da29347e21f3298ab33e5d8d07f29cb81f0135e3db6b3a80e900f0d16bd",
         "ssa/N60": "ade2410dfe8fcfe273c060d33891485bac3e17590d466903b5fba4e9576d8b1a",
-        "tilde/N60": "aafa69a8873d0394d8ab28bacc5f1c48adf712e682f61cfa083c1e83333146f0",
+        "tilde/N60": "64e90524b62e0e3f883445ef36eea58fcf55163144f0fcc1bfed34437ba6144f",
         "coupled/N60": "6b3c796578881656476cf7e9f5db562d0d698ef9478df5f39d0c1f3dfa9ed24d",
         "compensator/N60": "6a0ca90d8563b9de59146bd455b56b06044fa96664dd5ff470291f70306f00e5",
     },
     "luchsinger_linear": {
         "ssa/N20": "044d36931b04700d1a4fd66f4695c758b85bd591afef1d097f5cd8b0485f0f5b",
-        "tilde/N20": "67d1bb16b3353b69a23e027a44ec512c0a2695ae0bcc5cf6fa5ee3123d2fde50",
+        "tilde/N20": "22fd8cfe07f67ac4a26039d0d01f6b0ad077893bc064ea3c805ac1aa0ce4251b",
         "coupled/N20": "5cd89565599816f1463dae96f0fdf3819776785c9d99104fa257539080e3a01d",
         "compensator/N20": "903dc5e5b729111b8507cf494f6700e235c4e2565291802b6e65ed11ae2d53a6",
         "ssa/N60": "4b6c36fa728924a52e36fbab08c067a2371d2684e0332c5ce4cb938671b66967",
-        "tilde/N60": "107498fc44b7c99ff3f3bf3718b2f68fbe578289c6408b0732aebcb74922897c",
+        "tilde/N60": "fcf8a8501a8d2fe179eac833842d62bd4ac8bd157c2822fbf592fba3cf155977",
         "coupled/N60": "d0854db883edd46a4d52b17c17e9fa9045b100d13e03f6c4259267d0838dbd5d",
         "compensator/N60": "899f4645fab397204a059424f01bac440faccc5eb24d83719f73f7a92146fb1d",
     },
     "luchsinger_nonlinear": {
         "ssa/N20": "f6eab61c7f279545b21bce23586b7fc63496263138ef6cc1d40c2299b32c2739",
-        "tilde/N20": "19faadc83f0e20254598b8d37188868513935c7374ce02880adb743944e3bd02",
+        "tilde/N20": "df8cb47b0dd231d6eb6f88e6d2347bee01835952074b0c3dde816db7458f8f28",
         "coupled/N20": "6ff20e673ab2b94b5363a64bd89ac102d314ab2626ff20ebea067c0f9f233c68",
         "compensator/N20": "4d06a5816d470468449ec86eb782144e25919deead9ab6e472ab0eed6cf2cdbe",
         "ssa/N60": "6d290bc704e89cebd658ec4667d9b8b8dcd0aa763a8c4a74d637d68271798ad0",
-        "tilde/N60": "8eabb23da675605192dc8d0360e6c2a463f6413eea761cf7e81c69f523626009",
+        "tilde/N60": "90912f37802402e62682e181ee78ed3b252ffb730e60b292229d8e20eceeb156",
         "coupled/N60": "81724a8db1e4f6f8cb4951de2b6875e28938c4c64b39be52f29c985f8cdf67bd",
         "compensator/N60": "dbe7af0febeefae03d3e3631dcdaceb07f5ad2ff78371fdd13830f36ebff407d",
     },
@@ -176,33 +176,33 @@ CHECK_CASES.update({f"{name}/grow": (make, x0, J)
 
 EXPECTED_CHECKS = {
     "kretzschmar_modified": {
-        "moment": "e696ce4b9a2097c1d55fadca416b075524ad5c8917bc3a0a6b604135a5680ff3",
-        "mean_identity": "95a3e5dcc3bfb8c1f208f1fb01f674312b7e625b97488925913140e2d13de0b8",
-        "concentration": "88a31a98c9f5bc0289b34b0282962af92fd82e65f81fe430816d91a11b458624",
+        "moment": "0df9a9bb30d9c97626e841c20cd149d258697e528d62b9b5663bd6011c525da9",
+        "mean_identity": "cfc9f0e2369727dcece34eea566e56c3b520915812c6c818600da94794122124",
+        "concentration": "fa21623c1db7b1d22a937a88036b96874a12c434ef9de4170922249845403fd4",
         "window": "d918d6ef07d881d56c1bbeb4479fbc0405bc6770d3a2ea0d6bbea9d51ccdaee4",
     },
     "kretzschmar_modified/grow": {
-        "moment": "12ec1a4f081628fb7f3c08b978d16bf6966cf04fda669194e7e77a06b89fa2ea",
-        "mean_identity": "ab16d7b0977cf72457c24b270713a33126f272c5e89361f3dbe7bef220521a3c",
-        "concentration": "4cef9ff8d4d875c2fbe13d69e73b97e5c88cc27f81f81f7223ae9eb907d2eac9",
+        "moment": "b6aacfb9c39ed37e453169efb4e689a096a26dc5e31d1a06a3ddb7f3e092cf60",
+        "mean_identity": "5ccf169c17a869355a280b83602982a3a710e0fcda3e1cf7f12bb4b73879b387",
+        "concentration": "fd932c2fbeef8dfabb3e2c0a4b61077830a275a1394df2ce1732f13e93e79b63",
         "window": "bd217ddc0be3fda713d1220fc19bb583a1123bf7fb6d655641f1a7ff00633dda",
     },
     "luchsinger_linear": {
-        "moment": "93261b8458fc408c8501c7e41058c65de07bc9bf7fa3318a3386b9e9c53b7ff1",
-        "mean_identity": "1f3bbb1ae62c5c94b399bc27337f9a9cd4f29d3ce497a3615c62df46c0d62f5d",
-        "concentration": "a36ace3a2949178fcf0ed88529ed7a22d1e413a30af9efbb53f7a81b7a8a6b69",
+        "moment": "5ecb3c567dd65d62a0022e9479b7c0ef06e55a6da52396ceef2eab8dcd7cddee",
+        "mean_identity": "0e6f730c68f821b88836c2ea546196aec8ed3b17ef6225e19f22178661e78a73",
+        "concentration": "f0c2d02b56f5dae655bf3041443c891f8c90d70ef1bf11fa5a0adbf164db6ec3",
         "window": "e2dc9ec303671f2beaed1d9120f042687c5083dd56472a764fa70c831cd6ebd7",
     },
     "luchsinger_linear/grow": {
-        "moment": "69866cf8ae2b64bb134d15f340e3245ccd6d24721113f48188bdcd803021cd3d",
-        "mean_identity": "80bfaccffe2eb1d1adce54ea61d4625a0503cb337dcae8b931ef23bcacb9af24",
-        "concentration": "87702f344bc2d1db8f711796a3f36a1612793ab54b1c82370b72286c956aed1e",
+        "moment": "5e3bd93361d3b6ff64e41774cf7f0ce4999e66599470441d6f37cca840b5d610",
+        "mean_identity": "c96c8b1c84cd6f7be7e728c451ca0af973ba921ddd064224a17e293adbbdd1f8",
+        "concentration": "ee78d0ceab38f1559ecb8e405067ad81dbadbb60823a42a69d81366a01368496",
         "window": "aaaf4a00f9d7a3c3eae741caff57eb321bcecf570da6cefc92b3e9b91a3e487c",
     },
     "luchsinger_nonlinear": {
-        "moment": "63067b301b0071974bb827e809c0f20b646bf15718d2194cfecf2e3ca0b3eded",
-        "mean_identity": "a647f17ef4a4fb4b6608c2a55e11e65693a1adec09b3f0798b009ea50ad313c7",
-        "concentration": "285b485d5277be202d554915e050015d2ce125bd5136dc02ad5868f72458c597",
+        "moment": "f0190e49eb5a327a4cc0d5e2492f62e0add2c35b1b073c6ed6ebfddf9268611e",
+        "mean_identity": "ac923e91a99d55df00de07c2f135dd1eb9501fd2cb77466e8179307613bbf10d",
+        "concentration": "e09b4625148e93316311f4f52ff05d60570b047302b54364802a88f8dd1c4884",
         "window": "de5cb3a4b17c8512a16299b85d70434b81561259ffbf85d5de5daa16a6e31d6b",
     },
 }

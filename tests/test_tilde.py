@@ -13,10 +13,9 @@ from parasitelab.rates import BaselineGenerator, Envelopes, EventKind, Interacti
     ModelSpec
 from parasitelab.ssa import PathRecord, _KIND_INDEX
 from parasitelab.state import PopulationState, l11_norm
-from parasitelab.tilde import (DominatingRateError, IndividualPath, TildeRates,
-                               check_dominated, concentration_check,
-                               mean_identity_check, moment_bound_check,
-                               simulate_individual, simulate_tilde,
+from parasitelab.tilde import (DEATH, IMMIGRATION, MOVE, DominatingRateError,
+                               TildeRates, check_dominated, concentration_check,
+                               mean_identity_check, moment_bound_check, simulate_tilde,
                                window_fluctuation_check)
 
 
@@ -51,19 +50,24 @@ def _const_immigration_interaction(c: float) -> InteractionSpec:
     )
 
 
+# the individual law, on one-host replicas
+
+
 def test_individual_all_rates_zero():
-    sol = integrate(still_model(), np.array([1.0]), 1.0, J=1)
-    rates = TildeRates(still_model(), sol, 10)
-    ind = simulate_individual(rates, 3, 0.0, 1.0, 0)
-    assert ind.events == [] and ind.alive and ind.final_load == 3
+    m = still_model()
+    sol = integrate(m, np.array([1.0]), 1.0, J=1)
+    xi0 = PopulationState.from_dict({3: 1})
+    path = simulate_tilde(m, xi0, 10, 1.0, sol, 0)
+    assert path.n_jumps == 0 and path.final == xi0
 
 
 def test_individual_pure_death_frequency():
     pd = pure_death_model(1.0)
     sol = integrate(pd, np.array([0.0, 1.0]), 1.0, J=1)
     rates = TildeRates(pd, sol, 1)
+    xi0 = PopulationState.from_dict({1: 1})
     runs = 5000
-    jumped = sum(bool(simulate_individual(rates, 1, 0.0, 1.0, s).events)
+    jumped = sum(simulate_tilde(pd, xi0, 1, 1.0, sol, s, rates=rates).n_jumps > 0
                  for s in range(runs))
     p = 1.0 - math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / runs)
@@ -76,8 +80,9 @@ def test_individual_constant_excess_death_survival():
                   _const_death_interaction(c))
     sol = integrate(m, np.array([1.0]), T, J=1)
     rates = TildeRates(m, sol, 10)
+    xi0 = PopulationState.from_dict({0: 1})
     runs = 5000
-    survived = sum(simulate_individual(rates, 0, 0.0, T, s).alive
+    survived = sum(simulate_tilde(m, xi0, 10, T, sol, s, rates=rates).final == xi0
                    for s in range(runs))
     p = math.exp(-c * T)
     se = math.sqrt(p * (1 - p) / runs)
@@ -147,10 +152,10 @@ def test_tilde_mean_matches_ode(model61, xi0_100, sol61_T1):
 
 
 def test_exchangeability_of_individual_seeds(model61, sol61_T1):
-    # permuting which host gets which seed leaves the aggregate law alone;
     # with frozen interaction rates individuals never see each other, so
-    # assigning the same child streams in a different host order must give
-    # means within Monte Carlo tolerance
+    # which draws of the replica's stream go to which host leaves the
+    # aggregate law alone: two independent seed streams must give means
+    # within Monte Carlo tolerance
     N, runs = 60, 400
     xi_a = PopulationState.from_dict({0: 54, 1: 6})
     total_a = np.zeros(40)
@@ -226,24 +231,35 @@ def test_mean_identity_check_paths_past_its_width():
 
 
 # ---------------------------------------------------------------------------
-# Plain thinning, the reference for the segment squeeze: the individual loop
-# and the immigration loop as they ran before ``TildeRates.accepts``, with
-# every candidate evaluating its frozen rate and checking it against the
-# global dominator only.
+# The per-individual engine, the reference law of the lockstep engine: one
+# loop per individual on its own child generator, as it ran before the
+# squeeze, with every candidate evaluating its frozen rate and checking it
+# against the global dominator only.
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass
+class IndividualPath:
+    """One individual's trajectory: jump list and survival status."""
+
+    start_load: int
+    start_time: float
+    events: list = dataclasses.field(default_factory=list)
+    alive: bool = True
+    final_load: int = None
+
+
 def _ref_alpha_total_at(rates, i, t):
-    a = rates.model.interaction.alpha_total_at(i, rates.density(t))
+    a = rates.model.interaction.alpha_total_at(i, rates.ode.density(t))
     return check_dominated("interaction-move", i, a, rates.alpha_dom_at(i), t)
 
 
 def _ref_delta_at(rates, i, t):
-    d = rates.model.interaction.delta_at(i, rates.density(t))
+    d = rates.model.interaction.delta_at(i, rates.ode.density(t))
     return check_dominated("interaction-death", i, d, rates.delta_dom, t)
 
 
 def _ref_beta_total_at(rates, t):
-    b = rates.model.interaction.beta_total_at(rates.density(t))
+    b = rates.model.interaction.beta_total_at(rates.ode.density(t))
     return check_dominated("immigration", -1, b, rates.beta_dom, t)
 
 
@@ -278,7 +294,7 @@ def ref_simulate_individual(rates, i0, t0, T, seed):
         elif u < astar + dbar + a_dom:
             a = _ref_alpha_total_at(rates, i, t)
             if rng.random() * a_dom < a:
-                target = int(inter.alpha_sample(i, rates.density(t), rng))
+                target = int(inter.alpha_sample(i, rates.ode.density(t), rng))
                 path.events.append((t, _KIND_INDEX[EventKind.INTERACTION_MOVE], i, target))
                 i = target
         else:
@@ -319,7 +335,7 @@ def ref_simulate_tilde(model, xi0, N, T, ode, seed, rates=None):
             break
         b = _ref_beta_total_at(rates, t)
         if imm_rng.random() * rates.beta_dom < b:
-            load = int(model.interaction.beta_sample(rates.density(t), imm_rng))
+            load = int(model.interaction.beta_sample(rates.ode.density(t), imm_rng))
             events.append((t, idx, _KIND_INDEX[EventKind.IMMIGRATION], -1, load))
             ind = ref_simulate_individual(rates, load, t, T,
                                           np.random.default_rng(ss.spawn(1)[0]))
@@ -336,6 +352,95 @@ def ref_simulate_tilde(model, xi0, N, T, ode, seed, rates=None):
                       times, kinds, lfrom, lto, xi0)
     path.final = PopulationState.from_dense(path.counts_at([T])[0])
     return path
+
+
+# ---------------------------------------------------------------------------
+# Plain thinning on the lockstep draw order, the reference for the segment
+# squeeze: a copy of ``simulate_tilde``'s rounds in which every thinned
+# candidate evaluates its frozen rate and checks it against the global
+# dominator only.
+# ---------------------------------------------------------------------------
+
+def _plain_accepts(rates, channels, loads, ts, vs):
+    # the accepted candidates' indices, like ``TildeRates.accepts``
+    accepted = np.zeros(ts.size, dtype=bool)
+    for j in range(ts.size):
+        c, load, t = int(channels[j]), int(loads[j]), float(ts[j])
+        if c == MOVE:
+            rate = _ref_alpha_total_at(rates, load, t)
+        elif c == DEATH:
+            rate = _ref_delta_at(rates, load, t)
+        else:
+            rate = _ref_beta_total_at(rates, t)
+        accepted[j] = vs[j] < rate
+    return accepted.nonzero()[0]
+
+
+_CLASS_KINDS = (EventKind.BASELINE_MOVE, EventKind.BASELINE_DEATH,
+                EventKind.INTERACTION_MOVE, EventKind.INTERACTION_DEATH)
+
+
+def plain_simulate_tilde(model, xi0, N, T, ode, seed, rates=None):
+    # ``rates`` is accepted and ignored, so this can stand in for
+    # ``tilde.simulate_tilde`` under the checks
+    rates = TildeRates(model, ode, N)
+    rng = np.random.default_rng(seed)
+    base, inter = model.baseline, model.interaction
+    dense0 = xi0.to_dense()
+    n_init = xi0.total_hosts
+    arrivals, entry = np.zeros(0), np.zeros(0, dtype=np.int64)
+    if rates.beta_dom > 0.0:
+        arrivals = np.sort(rng.random(rng.poisson(N * rates.beta_dom * T))) * T
+        v = rng.random(arrivals.size) * rates.beta_dom
+        arrivals = arrivals[_plain_accepts(rates, np.full(arrivals.size, IMMIGRATION),
+                                           np.full(arrivals.size, -1), arrivals, v)]
+        entry = np.array([inter.beta_sample(ode.density(t), rng) for t in arrivals],
+                         dtype=np.int64)
+    events = [(float(t), n_init + k, _KIND_INDEX[EventKind.IMMIGRATION], -1, int(load))
+              for k, (t, load) in enumerate(zip(arrivals, entry))]
+    act = np.arange(n_init + arrivals.size)
+    cur = np.concatenate([np.repeat(np.arange(dense0.size), dense0), entry])
+    clock = np.concatenate([np.zeros(n_init), arrivals])
+    top = int(cur.max(initial=0))
+    final = []
+    while act.size:
+        row = rates.per_load(top)[cur]
+        t = clock + rng.standard_exponential(act.size) * row[:, 4]
+        u = rng.random(act.size) * row[:, 3]
+        cls = (u[:, None] >= row[:, :3]).sum(axis=1)
+        running = t <= T
+        jumped = running & (cls < 2)
+        thin = (running & (cls >= 2)).nonzero()[0]
+        if thin.size:
+            v = rng.random(thin.size) * row[thin, cls[thin] + 3]
+            jumped[thin[_plain_accepts(rates, cls[thin] - 2, cur[thin], t[thin], v)]] = True
+        to = cur.copy()
+        for j in range(act.size):
+            if not running[j]:
+                final.append(int(cur[j]))
+                continue
+            if not jumped[j]:
+                continue
+            i = int(cur[j])
+            if cls[j] == 0:
+                to[j] = base.sample_exit(i, float(u[j]), 0.0)
+            elif cls[j] == 2:
+                to[j] = int(inter.alpha_sample(i, ode.density(float(t[j])), rng))
+            else:
+                to[j] = -1
+            top = max(top, int(to[j]))
+            kind = _KIND_INDEX[_CLASS_KINDS[cls[j]]]
+            events.append((float(t[j]), int(act[j]), kind, i, int(to[j])))
+        keep = running & (to >= 0)
+        act, cur, clock = act[keep], to[keep], t[keep]
+    events.sort(key=lambda e: (e[0], e[1]))
+    return PathRecord(model.name + "~", N, T, seed if isinstance(seed, int) else -1, xi0,
+                      np.array([e[0] for e in events]),
+                      np.array([e[2] for e in events], dtype=np.int8),
+                      np.array([e[3] for e in events], dtype=np.int64),
+                      np.array([e[4] for e in events], dtype=np.int64),
+                      PopulationState.from_dict(
+                          {load: final.count(load) for load in set(final)}))
 
 
 def _density_death_interaction(c: float) -> InteractionSpec:
@@ -395,18 +500,15 @@ def test_squeeze_reproduces_plain_thinning(case):
     N, T = 20, 1.0
     sol = integrate(model, np.array(x0), T, J=J, **opts)
     xi0 = round_initial(np.array(x0), N)
-    rates, ref_rates = TildeRates(model, sol, N), TildeRates(model, sol, N)
+    rates = TildeRates(model, sol, N)
     for seed in range(200):
         new = simulate_tilde(model, xi0, N, T, sol, seed,
                              rates=rates if seed % 2 else None)
-        ref = ref_simulate_tilde(model, xi0, N, T, sol, seed)
+        ref = plain_simulate_tilde(model, xi0, N, T, sol, seed)
         for name in ("times", "kinds", "load_from", "load_to"):
             a, b = getattr(new, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
         assert new.final == ref.final
-        for i0 in (0, xi0.max_load):
-            assert (simulate_individual(rates, i0, 0.0, T, seed)
-                    == ref_simulate_individual(ref_rates, i0, 0.0, T, seed)), (seed, i0)
 
 
 def test_squeeze_evaluates_a_tenth_of_the_rates(model61, sol61, xi0_100, monkeypatch):
@@ -429,7 +531,7 @@ def test_squeeze_evaluates_a_tenth_of_the_rates(model61, sol61, xi0_100, monkeyp
         return rep, calls[0]
 
     new, new_calls = run()
-    monkeypatch.setattr(tilde, "simulate_tilde", ref_simulate_tilde)
+    monkeypatch.setattr(tilde, "simulate_tilde", plain_simulate_tilde)
     ref, ref_calls = run()
     assert new.rows == ref.rows
     assert ref_calls > 0 and new_calls <= 0.1 * ref_calls, (new_calls, ref_calls)
@@ -445,6 +547,10 @@ def test_segment_bounds_cover_the_dense_output(name, opts):
     e = inter.envelopes
     rates = TildeRates(model, sol, 20)
     E = rates.excursions
+
+    def bound(channel, load, t):
+        return rates.bounds(np.array([channel]), np.array([load]), np.array([t]))[0]
+
     assert E.shape == (sol.ts.size - 1,)
     f = np.abs(sol.fs).sum(axis=1)
     for k in range(sol.ts.size - 1):
@@ -454,10 +560,10 @@ def test_segment_bounds_cover_the_dense_output(name, opts):
         assert formula <= E[k] <= formula + 1e-13
         # the bound is min(dominator, rate(y_k) + modulus(||pos y_k||_11) E_k)
         y, z = sol.ys[k], l11_norm(np.maximum(sol.ys[k], 0.0))
-        assert rates.bound("immigration", -1, sol.ts[k]) == min(
+        assert bound(IMMIGRATION, -1, sol.ts[k]) == min(
             rates.beta_dom, inter.beta_total_at(y) + e.b01(z) * E[k])
         for i in range(6):
-            assert rates.bound("interaction-move", i, sol.ts[k]) == min(
+            assert bound(MOVE, i, sol.ts[k]) == min(
                 rates.alpha_dom_at(i), inter.alpha_total_at(i, y) + e.a01(z) * E[k])
         grid = np.linspace(sol.ts[k], sol.ts[k + 1], 257)
         xs = sol.density_many(grid)
@@ -466,9 +572,9 @@ def test_segment_bounds_cover_the_dense_output(name, opts):
         # t_{k+1} opens segment k + 1, so the rates run over [t_k, t_{k+1})
         for t, x in zip(grid[:-1], xs[:-1]):
             for i in range(6):
-                assert inter.alpha_total_at(i, x) <= rates.bound("interaction-move", i, t)
-                assert inter.delta_at(i, x) <= rates.bound("interaction-death", i, t)
-            assert inter.beta_total_at(x) <= rates.bound("immigration", -1, t)
+                assert inter.alpha_total_at(i, x) <= bound(MOVE, i, t)
+                assert inter.delta_at(i, x) <= bound(DEATH, i, t)
+            assert inter.beta_total_at(x) <= bound(IMMIGRATION, -1, t)
 
 
 def test_local_bound_fault_injection():
@@ -484,7 +590,7 @@ def test_local_bound_fault_injection():
     sol = integrate(model, np.array(x0), 1.0, J=54)
     xi0 = round_initial(np.array(x0), 100)
     for s in range(50):
-        ref_simulate_tilde(bad, xi0, 100, 1.0, sol, s)
+        plain_simulate_tilde(bad, xi0, 100, 1.0, sol, s)
     with pytest.raises(DominatingRateError):
         for s in range(50):
             simulate_tilde(bad, xi0, 100, 1.0, sol, s)
@@ -494,3 +600,29 @@ def test_simulate_tilde_rejects_foreign_rates(model61, xi0_100, sol61_T1, sol61)
     rates = TildeRates(model61, sol61, 100)
     with pytest.raises(ValueError):
         simulate_tilde(model61, xi0_100, 100, 1.0, sol61_T1, 0, rates=rates)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_lockstep_law_matches_per_individual_engine(name):
+    # two-sample test of the lockstep engine against the per-individual
+    # loop: per-load counts (loads past 10 pooled) at fixed times, Welch z
+    # per cell; 3 x 11 cells, so max |z| > 4 has probability about 0.002
+    make, x0 = EXAMPLES[name]
+    model = make()
+    N, T, R, ts, width = 20, 1.0, 1000, [0.25, 0.5, 1.0], 11
+    sol = integrate(model, np.array(x0), T, J=54)
+    xi0 = round_initial(np.array(x0), N)
+
+    def counts(engine, seed):
+        out = np.zeros((R, len(ts), width))
+        for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
+            c = engine(model, xi0, N, T, sol, child).counts_at(ts, width)
+            out[r] = np.hstack([c[:, : width - 1], c[:, width - 1:].sum(axis=1, keepdims=True)])
+        return out
+
+    a, b = counts(simulate_tilde, 1), counts(ref_simulate_tilde, 2)
+    se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / R)
+    diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+    assert np.all(diff[se == 0] == 0)
+    z = diff[se > 0] / se[se > 0]
+    assert z.size >= 2 * len(ts) and z.max() <= 4.0, z.max()
