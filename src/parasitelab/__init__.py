@@ -2,7 +2,7 @@
 
 Layers, from the bottom up:
 
-  - ``state``: population states, density vectors, the host/parasite norms.
+  - ``state``: population states, the host/parasite norms.
   - ``rates``: model specification, rate evaluation, computable constants,
     sampled hypothesis certificates.
   - ``models``: the example model constructors and offspring laws.
@@ -18,12 +18,10 @@ Layers, from the bottom up:
 
 from .state import (
     BoundM,
-    DensityVector,
     PopulationState,
     l1_norm,
     l11_norm,
     lemma_a1_sides,
-    scale,
 )
 from .rates import (
     BaselineGenerator,
@@ -48,7 +46,6 @@ from .ode import (
     BlowUpError,
     OdeSolution,
     drift,
-    ic_continuity_probe,
     integrate,
     mild_residual,
     semigroup_apply,
@@ -67,7 +64,6 @@ from .tilde import (
     mean_identity_check,
     moment_bound_check,
     simulate_tilde,
-    window_fluctuation_check,
 )
 from .coupling import (
     CoupledCapExceeded,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .harness import (HARD_FAILURES, ExperimentConfig, coupled_summary, run_certificates,
                       run_convergence, single_ode, single_ssa, single_tilde)
@@ -23,19 +22,16 @@ TAIL_WARNING = "warning: terminal tail mass above budget; raise the truncation"
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
+    """The config file with the command-line overrides, validated as a whole."""
+    raw = ExperimentConfig.from_file(args.config).raw
+    sim = raw.setdefault("sim", {})
+    for key, value in (("master_seed", args.seed), ("replicas", args.replicas),
+                       ("n_list", None if args.n is None else [args.n])):
+        if value is not None:
+            sim[key] = value
     if args.out:
-        cfg.out_dir = Path(args.out)
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-        cfg.raw.setdefault("sim", {})["master_seed"] = args.seed
-    if getattr(args, "replicas", None) is not None:
-        cfg.replicas = args.replicas
-        cfg.raw.setdefault("sim", {})["replicas"] = args.replicas
-    if getattr(args, "n", None) is not None:
-        cfg.n_list = [args.n]
-        cfg.raw.setdefault("sim", {})["n_list"] = [args.n]
-    return cfg
+        raw.setdefault("output", {})["directory"] = args.out
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:

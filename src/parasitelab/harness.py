@@ -41,7 +41,7 @@ from .ode import (BlowUpError, OdeSolution, StiffnessError, TruncationTooLarge,
 from .rates import (ModelSpec, check_growth, check_lipschitz_sampled,
                     semigroup_moment)
 from .ssa import CapExceeded, simulate, sup_l1_error
-from .state import BoundM, DensityVector, PopulationState, l11_norm, lemma_a1_sides
+from .state import BoundM, PopulationState, l11_norm, lemma_a1_sides
 from .tilde import (DominatingRateError, concentration_check,
                     mean_identity_check, moment_bound_check, simulate_tilde)
 
@@ -130,6 +130,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown certificate(s) {unknown} in checks.run; "
                              f"known: {', '.join(CERTIFICATES)}")
+        if "concentration" in run and n_list[0] < 9:
+            raise ValueError(f"sim.n_list: the concentration certificate needs every "
+                             f"N >= 9, got {n_list[0]}")
         return cls(
             raw=raw,
             model=raw.get("model", {}),
@@ -256,7 +259,7 @@ def round_initial(x0, N: int) -> PopulationState:
     toward the smallest load.  The per-load error stays below 1/N, so
     the parasite-norm gap is at most (J+1)^2 / N over support 0..J.
     """
-    v = x0.values if isinstance(x0, DensityVector) else np.asarray(x0, dtype=np.float64)
+    v = np.asarray(x0, dtype=np.float64)
     if v.min(initial=0.0) < 0:
         raise ValueError("x0 must be nonnegative")
     if abs(v.sum() - 1.0) > 1e-12:
@@ -269,6 +272,22 @@ def round_initial(x0, N: int) -> PopulationState:
     for i in order[:remainder]:
         counts[i] += 1
     return PopulationState.from_dense(counts)
+
+
+def limit_trajectory(cfg: ExperimentConfig, model: ModelSpec, x0) -> OdeSolution:
+    """The limit trajectory of ``model`` from the density ``x0`` over the horizon.
+
+    Every subcommand integrates with the config's settings: the
+    truncation (default ``default_truncation`` of the configured
+    density), the tolerances and the blow-up cap
+    ``blowup_factor * (1 + ||density||_11)``.  ``integrate`` is looked
+    up as a module global, so wrappers on ``harness.integrate`` see
+    every limit trajectory.
+    """
+    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
+    cap = cfg.blowup_factor * (1.0 + l11_norm(cfg.density))
+    return integrate(model, x0, cfg.horizon, J=J, rtol=cfg.rtol, atol=cfg.atol,
+                     blowup_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +338,6 @@ class ConvergenceReport:
     master_seed: int
     config_hash: str
     aborted: dict[int, str] = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
 
     def strictly_decreasing(self) -> bool:
         errs = [r.mean_err for r in self.rows]
@@ -371,20 +389,17 @@ def run_convergence(cfg: ExperimentConfig, workers: Optional[int] = None,
     """
     workers = workers or worker_count()
     model = build_model(cfg.model)
-    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
-    cap = cfg.blowup_factor * (1.0 + l11_norm(cfg.density))
     sols: dict[int, tuple[OdeSolution, OdeSolution]] = {}
     stats: dict[int, dict] = {}
     aborted: dict[int, str] = {}
     fixed: Optional[OdeSolution] = None
-    limit = dict(T=cfg.horizon, J=J, rtol=cfg.rtol, atol=cfg.atol, blowup_cap=cap)
     for N in cfg.n_list:
         x_rounded = round_initial(cfg.density, N).to_dense().astype(np.float64) / N
         t0 = time.perf_counter()
         try:
-            rounded = integrate(model, x_rounded, **limit)
+            rounded = limit_trajectory(cfg, model, x_rounded)
             if fixed is None:
-                fixed = integrate(model, cfg.density, **limit)
+                fixed = limit_trajectory(cfg, model, cfg.density)
             sols[N] = (rounded, fixed)
         except (BlowUpError, StiffnessError) as err:
             aborted[N] = f"limit trajectory for N = {N}: {type(err).__name__}: {err}"
@@ -548,14 +563,11 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
     rng = np.random.default_rng(cfg.master_seed)
     T = cfg.horizon
     N0 = cfg.n_list[0]
-    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
-
     xi0 = round_initial(cfg.density, N0)
-    x_rounded = xi0.to_dense().astype(np.float64) / N0
     e = model.interaction.envelopes
 
     try:
-        sol = integrate(model, x_rounded, T, J=J, rtol=cfg.rtol, atol=cfg.atol)
+        sol = limit_trajectory(cfg, model, xi0.to_dense().astype(np.float64) / N0)
         tail_ok[f"N{N0}"] = sol.tail_ok
         for name in cfg.checks:
             if name == "growth":
@@ -643,8 +655,7 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                 for N in cfg.n_list:
                     reps = max(50, cfg.check_replicas // 4) if N >= 1000 else cfg.check_replicas
                     xiN = round_initial(cfg.density, N)
-                    solN = integrate(model, xiN.to_dense().astype(float) / N, T,
-                                     J=J, rtol=cfg.rtol, atol=cfg.atol)
+                    solN = limit_trajectory(cfg, model, xiN.to_dense().astype(float) / N)
                     tail_ok[f"concentration_N{N}"] = solN.tail_ok
                     rep = concentration_check(model, xiN, N, T, solN, reps,
                                               replica_seed(cfg.master_seed, N, 2 * 10 ** 6))
@@ -730,19 +741,16 @@ def single_ssa(cfg: ExperimentConfig, N: Optional[int] = None, seed: Optional[in
 
 
 def single_ode(cfg: ExperimentConfig, N: Optional[int] = None) -> OdeSolution:
-    model = build_model(cfg.model)
     N = N or cfg.n_list[0]
     xi0 = round_initial(cfg.density, N)
-    J = cfg.truncation or ode_mod.default_truncation(cfg.density)
-    return integrate(model, xi0.to_dense().astype(float) / N, cfg.horizon,
-                     J=J, rtol=cfg.rtol, atol=cfg.atol)
+    return limit_trajectory(cfg, build_model(cfg.model), xi0.to_dense().astype(float) / N)
 
 
 def single_tilde(cfg: ExperimentConfig, N: Optional[int] = None, seed: Optional[int] = None):
     model = build_model(cfg.model)
     N = N or cfg.n_list[0]
     xi0 = round_initial(cfg.density, N)
-    sol = single_ode(cfg, N)
+    sol = limit_trajectory(cfg, model, xi0.to_dense().astype(float) / N)
     return simulate_tilde(model, xi0, N, cfg.horizon, sol,
                           seed if seed is not None else replica_seed(cfg.master_seed, N, 0))
 
@@ -754,7 +762,7 @@ def coupled_summary(cfg: ExperimentConfig, N: Optional[int] = None,
     N = N or cfg.n_list[0]
     R = replicas or cfg.replicas
     xi0 = round_initial(cfg.density, N)
-    sol = single_ode(cfg, N)
+    sol = limit_trajectory(cfg, model, xi0.to_dense().astype(float) / N)
     runs = [simulate_coupled(model, xi0, N, cfg.horizon, sol,
                              replica_seed(cfg.master_seed, N, r), eval_times=[cfg.horizon],
                              event_cap=cfg.event_cap)

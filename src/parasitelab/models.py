@@ -92,10 +92,6 @@ class OffspringLaw:
     def table(cls, probs) -> "OffspringLaw":
         return cls("table", probs=np.asarray(probs, dtype=np.float64))
 
-    def conv_p0(self, i: int) -> float:
-        """Probability that an i-parasite host transmits nothing."""
-        return self.p0 ** i
-
     def sample_sum(self, i: int, rng: np.random.Generator) -> int:
         """One draw of the sum of i independent F1 variates.
 
@@ -313,8 +309,6 @@ def luchsinger_nonlinear(lam: float, mu: float, kappa: float,
         name="luchsinger_nonlinear",
         baseline=baseline,
         interaction=interaction,
-        params={"lam": lam, "mu": mu, "kappa": kappa,
-                "offspring": offspring.family, "theta": theta},
     )
 
 
@@ -390,8 +384,6 @@ def luchsinger_linear(lam: float, mu: float, kappa: float,
         name="luchsinger_linear",
         baseline=baseline,
         interaction=interaction,
-        params={"lam": lam, "mu": mu, "kappa": kappa,
-                "offspring": offspring.family, "theta": theta},
     )
 
 
@@ -512,7 +504,4 @@ def kretzschmar_modified(nu: float, offspring: OffspringLaw, mu: float,
         name="kretzschmar_modified",
         baseline=baseline,
         interaction=interaction,
-        params={"nu": nu, "mu": mu, "kappa": kappa, "alpha_extra": alpha_extra,
-                "beta_birth": beta_birth, "birth_discount": birth_discount,
-                "c": c, "offspring": offspring.family, "theta": theta},
     )

@@ -20,14 +20,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .rates import BaselineGenerator, ModelSpec
-from .state import DensityVector, l11_norm
+from .state import l11_norm
 
 DENSE_EXPM_CAP = 400
 
@@ -50,8 +50,7 @@ class TruncationTooLarge(ValueError):
 
 
 def _as_array(x, J: Optional[int] = None) -> np.ndarray:
-    v = x.values if isinstance(x, DensityVector) else np.asarray(x, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
+    v = np.array(x, dtype=np.float64)
     if J is not None:
         if v.size > J + 1:
             raise ValueError(f"initial condition has support above truncation J = {J}")
@@ -76,8 +75,8 @@ def _interaction_part(model: ModelSpec, xp: np.ndarray, J: int) -> np.ndarray:
 def drift(model: ModelSpec, x, J: int) -> np.ndarray:
     """Right-hand side of the truncated limit system at state x.
 
-    Accepts a DensityVector or a raw array; applies the positive part
-    throughout.  Flow to loads above J is dropped.
+    Applies the positive part throughout.  Flow to loads above J is
+    dropped.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
@@ -125,9 +124,14 @@ class OdeSolution:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def _segment(self, t: float) -> int:
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        return min(max(k, 0), self.ts.size - 2)
+    def segments(self, t):
+        """Index k of the dense-output segment [ts[k], ts[k+1]] used at each time.
+
+        The number of interior nodes at or before t: 0 before the second
+        node, the last segment from the second-last node on (NaN
+        included), and 0 everywhere on a one-node solution.
+        """
+        return np.searchsorted(self.ts[1:-1], t, side="right")
 
     def density(self, t: float) -> np.ndarray:
         """Dense-output state at time t (exact at the nodes)."""
@@ -136,7 +140,7 @@ class OdeSolution:
             return self.ys[0]
         if t >= ts[-1]:
             return self.ys[-1]
-        k = self._segment(t)
+        k = self.segments(t)
         h = ts[k + 1] - ts[k]
         s = (t - ts[k]) / h
         s2, s3 = s * s, s * s * s
@@ -159,7 +163,7 @@ class OdeSolution:
         nodes = self.ts
         if nodes.size == 1:
             return np.repeat(self.ys, t.size, axis=0)
-        k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2)
+        k = self.segments(t)
         h = nodes[k + 1] - nodes[k]
         s = (t - nodes[k]) / h
         s2, s3 = s * s, s * s * s
@@ -338,46 +342,3 @@ def mild_residual(sol: OdeSolution, t: float, n_quad: int = 64,
     lin = sol.ys[0] @ expm(B * t)
     resid = sol.density(t) - lin - acc
     return l11_norm(resid)
-
-
-@dataclass
-class ContinuityRow:
-    eps: float
-    ratio: float
-    blew_up: bool
-
-
-def ic_continuity_probe(model: ModelSpec, x0, eps_list: Sequence[float],
-                        T: float, J: Optional[int] = None,
-                        rtol: float = 1e-6, atol: float = 1e-8,
-                        grid_points: int = 200) -> list[ContinuityRow]:
-    """Amplification of an initial perturbation along the trajectory.
-
-    For each eps, perturbs the initial condition by eps at load 0 (an
-    l11 distance of exactly eps, staying nonnegative) and reports
-    sup_t ||x - y||_11 / eps.  A zero eps reports ratio 1 by convention.
-    Stable ratios across decreasing eps indicate locally Lipschitz
-    dependence on the initial condition.
-    """
-    if J is None:
-        J = default_truncation(x0)
-    base = integrate(model, x0, T, J=J, rtol=rtol, atol=atol)
-    query = np.linspace(0.0, T, grid_points)
-    base_vals = base.density_many(query)
-    weights = np.arange(1, J + 2, dtype=np.float64)
-    rows: list[ContinuityRow] = []
-    for eps in eps_list:
-        if eps == 0.0:
-            rows.append(ContinuityRow(0.0, 1.0, False))
-            continue
-        y0 = _as_array(x0, J).copy()
-        y0[0] += eps
-        try:
-            pert = integrate(model, y0, T, J=J, rtol=rtol, atol=atol)
-        except BlowUpError:
-            rows.append(ContinuityRow(eps, math.inf, True))
-            continue
-        pert_vals = pert.density_many(query)
-        sup = float(np.max(np.abs(base_vals - pert_vals) @ weights))
-        rows.append(ContinuityRow(eps, sup / eps, False))
-    return rows

@@ -16,7 +16,7 @@ growth and Lipschitz hypotheses the theory relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -308,7 +308,6 @@ class ModelSpec:
     name: str
     baseline: BaselineGenerator
     interaction: InteractionSpec
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

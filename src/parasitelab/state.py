@@ -1,12 +1,9 @@
-"""Population states, load-density vectors and the two norms.
+"""Population states and the two norms.
 
-The host population is described in two ways:
-
-  - ``PopulationState``: integer host counts indexed by parasite load,
-    sparse and with finite support.  This is the state of the stochastic
-    process.
-  - ``DensityVector``: a dense real vector of per-load densities on a
-    finite truncation 0..J, used by the deterministic limit.
+``PopulationState`` holds integer host counts indexed by parasite load,
+sparse and with finite support: the state of the stochastic process.
+The deterministic limit works on plain arrays of per-load densities on a
+finite truncation 0..J.
 
 Two norms matter everywhere: the host norm (plain l1) and the parasite
 norm (l11), which weights load i by (i + 1).  The module also provides
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -64,12 +61,6 @@ class PopulationState:
     def empty(cls) -> "PopulationState":
         return cls(())
 
-    def get(self, load: int) -> int:
-        for l, c in self.counts:
-            if l == load:
-                return c
-        return 0
-
     @property
     def max_load(self) -> int:
         """Largest stored load, or -1 for the empty state."""
@@ -86,47 +77,6 @@ class PopulationState:
         return iter(self.counts)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityVector:
-    """Dense real per-load densities on the truncation 0..J.
-
-    Entries may transiently go slightly negative during ODE integration;
-    every rate evaluation applies the positive part first.
-    ``tail_mass_estimate`` carries the worst-case l11 mass lost above J
-    when the vector was produced by truncating something longer.
-    """
-
-    values: np.ndarray
-    tail_mass_estimate: float = 0.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
-        if self.tail_mass_estimate < 0:
-            raise ValueError("tail_mass_estimate must be >= 0")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def J(self) -> int:
-        return self.values.size - 1
-
-    def positive_part(self) -> np.ndarray:
-        return np.maximum(self.values, 0.0)
-
-    def allclose(self, other: "DensityVector", atol: float = 1e-12) -> bool:
-        n = max(self.values.size, other.values.size)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: self.values.size] = self.values
-        b[: other.values.size] = other.values
-        return bool(np.allclose(a, b, atol=atol, rtol=0.0))
-
-
 @dataclass(frozen=True)
 class BoundM:
     """Parameters (M, N) of the tail inequalities: M >= 1 and N >= 9."""
@@ -141,18 +91,13 @@ class BoundM:
             raise ValueError(f"N must be >= 9, got {self.N}")
 
 
-StateLike = Union[PopulationState, DensityVector, np.ndarray]
-
-
-def _as_values(x: StateLike) -> np.ndarray:
+def _as_values(x: PopulationState | np.ndarray) -> np.ndarray:
     if isinstance(x, PopulationState):
         return x.to_dense().astype(np.float64)
-    if isinstance(x, DensityVector):
-        return x.values
     return np.asarray(x, dtype=np.float64)
 
 
-def l1_norm(x: StateLike) -> float:
+def l1_norm(x: PopulationState | np.ndarray) -> float:
     """Host norm: sum of absolute per-load values."""
     if isinstance(x, PopulationState):
         return float(x.total_hosts)
@@ -160,23 +105,13 @@ def l1_norm(x: StateLike) -> float:
     return float(np.sum(np.abs(v)))
 
 
-def l11_norm(x: StateLike) -> float:
+def l11_norm(x: PopulationState | np.ndarray) -> float:
     """Parasite norm: sum of (i + 1) * |x^i| over loads i."""
     v = _as_values(x)
     if v.size == 0:
         return 0.0
     w = np.arange(1, v.size + 1, dtype=np.float64)
     return float(np.dot(w, np.abs(v)))
-
-
-def scale(xi: PopulationState, N: int) -> DensityVector:
-    """Per-capita density N^{-1} * xi as a dense vector over 0..max load."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not xi.counts:
-        return DensityVector(np.zeros(1))
-    dense = xi.to_dense().astype(np.float64) / float(N)
-    return DensityVector(dense, tail_mass_estimate=0.0)
 
 
 @dataclass(frozen=True)
@@ -200,7 +135,7 @@ class LemmaA1Sides:
                    (self.sqrt_sum, self.small_mass, self.combined))
 
 
-def lemma_a1_sides(u: DensityVector | np.ndarray, bound: BoundM) -> LemmaA1Sides:
+def lemma_a1_sides(u: np.ndarray, bound: BoundM) -> LemmaA1Sides:
     """Evaluate both sides of the three tail inequalities for u >= 0.
 
     Requires every entry nonnegative and l11 mass at most ``bound.M``.

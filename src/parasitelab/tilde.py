@@ -5,7 +5,7 @@ frozen at the deterministic trajectory (so individuals never see each
 other), and immigrants arrive by an inhomogeneous Poisson process whose
 rate is the immigration evaluator along the same trajectory.  The mean
 of the aggregate process is exactly N times the limit solution, which
-is what the four checks certify empirically; they read each replica's
+is what the three checks certify empirically; they read each replica's
 counts at their check times with ``PathRecord.counts_at``.
 
 Time-varying rates are simulated by thinning: candidates are proposed
@@ -195,7 +195,7 @@ class TildeRates:
 
         ``channels`` index ``CHANNELS``; immigration candidates carry load -1.
         """
-        ks = np.searchsorted(self.ode.ts[1:-1], ts, side="right")
+        ks = self.ode.segments(ts)
         rows = np.maximum(loads, 0)             # immigration has one row
         height = int(rows.max(initial=0)) + 1
         if self._bounds.shape[1] < height:
@@ -331,8 +331,8 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
 def _replica_counts(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                     ode: OdeSolution, replicas: int, seed, ts: Sequence[float],
-                    width: int) -> Iterator[tuple[PathRecord, np.ndarray]]:
-    """Per replica, in spawn order: the path and its float64 counts at ``ts``.
+                    width: int) -> Iterator[np.ndarray]:
+    """Per replica, in spawn order: its float64 counts at ``ts``.
 
     ``simulate_tilde`` is looked up as a module global at every call, so
     wrappers installed on ``tilde.simulate_tilde`` see every replica.
@@ -342,7 +342,7 @@ def _replica_counts(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     rates = TildeRates(model, ode, N)
     for child in _seed_sequence(seed).spawn(replicas):
         path = simulate_tilde(model, xi0, N, T, ode, child, rates=rates)
-        yield path, path.counts_at(ts, width).astype(np.float64)
+        yield path.counts_at(ts, width).astype(np.float64)
 
 
 @dataclass
@@ -378,7 +378,7 @@ def moment_bound_check(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         * math.exp((model.baseline.w + bc.a0_star + bc.a1_star * M) * T)
     grid = np.linspace(0.0, T, n_grid)
     acc = np.zeros(n_grid)
-    for _, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, grid, 1):
+    for counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, grid, 1):
         acc += counts @ np.arange(1.0, counts.shape[1] + 1) / N
     emp = acc / replicas
     sup = float(emp.max())
@@ -420,7 +420,7 @@ def mean_identity_check(model: ModelSpec, xi0: PopulationState, N: int, T: float
     """
     ts = list(ts) if len(list(ts)) else [T / 2, T]
     sums, sumsq = np.zeros((2, len(ts), max_load + 1))
-    for _, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, ts, max_load + 1):
+    for counts in _replica_counts(model, xi0, N, T, ode, replicas, seed, ts, max_load + 1):
         sums += counts[:, : max_load + 1]
         sumsq += counts[:, : max_load + 1] ** 2
     rows: list[MeanIdentityRow] = []
@@ -475,7 +475,7 @@ def concentration_check(model: ModelSpec, xi0: PopulationState, N: int, T: float
     exceed = {K: 0 for K in tail_K}
     limit = N * ode.density_many(grid)
     replays = _replica_counts(model, xi0, N, T, ode, replicas, seed, grid, ode.J + 1)
-    for r, (_, counts) in enumerate(replays):
+    for r, counts in enumerate(replays):
         counts[:, : limit.shape[1]] -= limit
         dists[r] = np.abs(counts).sum(axis=1)
         worst = dists[r].max()
@@ -485,49 +485,3 @@ def concentration_check(model: ModelSpec, xi0: PopulationState, N: int, T: float
     se = dists.std(axis=0, ddof=1) / math.sqrt(replicas)
     freq = {K: exceed[K] / replicas for K in tail_K}
     return ConcentrationReport(grid, mean, se, bound, thresholds, freq, replicas)
-
-
-@dataclass
-class WindowFluctuationReport:
-    """Short-window jump counts conditioned on starting near N x(t)."""
-
-    h: float
-    threshold_jumps: float
-    windows_checked: int
-    exceedances: int
-
-    @property
-    def frequency(self) -> float:
-        return self.exceedances / self.windows_checked if self.windows_checked else 0.0
-
-
-def window_fluctuation_check(model: ModelSpec, xi0: PopulationState, N: int,
-                             T: float, ode: OdeSolution, replicas: int, seed,
-                             K: float = 1.0, a: float = 2.0,
-                             starts: int = 8) -> WindowFluctuationReport:
-    """Count jumps of the aggregate in windows of the admissible length.
-
-    Windows start at grid times where the aggregate sits within
-    K sqrt(N) log^{3/2} N of N x(t); the admissible window length is
-    1 / (2 ceil(N M_T)^{m2} H_T) and the jump count is compared to
-    K sqrt(N) log^{3/2} N + a log N.  K and a are free parameters of
-    the statement and exposed as configuration.
-    """
-    M = max(ode.M_T, 1.0)
-    bc = bound_constants(model, M, max(ode.G_T, 1.0), N)
-    m2 = model.baseline.m2
-    h = 1.0 / (2.0 * math.ceil(N * M) ** m2 * bc.H_T)
-    near = K * math.sqrt(N) * math.log(N) ** 1.5
-    threshold = near + a * math.log(N)
-    checked = 0
-    exceed = 0
-    start_ts = np.linspace(0.0, T - h, starts)
-    limit = N * ode.density_many(start_ts)
-    for path, counts in _replica_counts(model, xi0, N, T, ode, replicas, seed,
-                                        start_ts, ode.J + 1):
-        counts[:, : limit.shape[1]] -= limit
-        is_near = np.abs(counts).sum(axis=1) <= near
-        lo, hi = np.searchsorted(path.times, (start_ts, start_ts + h), side="right")
-        checked += int(is_near.sum())
-        exceed += int(((hi - lo)[is_near] > threshold).sum())
-    return WindowFluctuationReport(h, threshold, checked, exceed)

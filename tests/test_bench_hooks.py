@@ -15,8 +15,7 @@ import pytest
 
 from conftest import STANDARD_X0
 from parasitelab.harness import round_initial
-from parasitelab.tilde import (concentration_check, mean_identity_check,
-                               moment_bound_check, window_fluctuation_check)
+from parasitelab.tilde import concentration_check, mean_identity_check, moment_bound_check
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -32,7 +31,7 @@ def test_wrapped_names_resolve_to_callables():
 
 
 @pytest.mark.parametrize("check", [moment_bound_check, mean_identity_check,
-                                   concentration_check, window_fluctuation_check])
+                                   concentration_check])
 def test_tilde_checks_count_every_replica(check, model61, sol61_T1):
     N = 30
     xi0 = round_initial(STANDARD_X0, N)

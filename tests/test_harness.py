@@ -541,3 +541,44 @@ def test_convergence_metadata_per_n_stats(tmp_path, workers):
     # the statistics stay out of the CSV bodies
     for name in ("convergence.csv", "replicas.csv", "slope.csv"):
         assert "jumps" not in (cfg.out_dir / name).read_text()
+
+
+def test_blowup_factor_sets_the_cap_of_every_limit_trajectory(tmp_path, capsys):
+    # the runaway-births limit crosses 1e3 (1 + ||x0||_11) = 2200 before
+    # t = 1 and stays far below 1e9 (1 + ||x0||_11) up to T = 2
+    raw = {"model": RUNAWAY_MODEL, "initial": {"density": [0.8, 0.2]},
+           "sim": {"n_list": [20], "horizon": 2.0, "master_seed": 5},
+           "checks": {"run": ["growth"]}, "output": {"directory": str(tmp_path / "out")}}
+    path = tmp_path / "cfg.json"
+    for factor, status in ((1e3, 2), (1e9, 0)):
+        raw["ode"] = {"blowup_factor": factor}
+        path.write_text(json.dumps(raw))
+        for command in ("ode", "certify"):
+            assert cli_main([command, "--config", str(path)]) == status, (factor, command)
+            err = capsys.readouterr().err
+            assert ("(cap 2200)" in err) == (factor == 1e3), (factor, command, err)
+
+
+def test_cli_concentration_needs_n_at_least_9(tmp_path, capsys):
+    base = small_config(tmp_path).raw
+    base["sim"]["n_list"] = [5, 20]
+    base["checks"]["run"] = ["growth", "concentration"]
+    with pytest.raises(ValueError, match=r"sim\.n_list.*N >= 9, got 5"):
+        ExperimentConfig.from_dict(base)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base))
+    # the same rule holds for an N given on the command line
+    base["sim"]["n_list"] = [20]
+    ok_path = tmp_path / "ok.json"
+    ok_path.write_text(json.dumps(base))
+    for args in (["--config", str(path)], ["--config", str(ok_path), "--n", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["certify", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "sim.n_list" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # without the concentration certificate a small N is fine
+    base["sim"]["n_list"] = [5, 20]
+    base["checks"]["run"] = ["growth"]
+    assert ExperimentConfig.from_dict(base).n_list == [5, 20]

@@ -29,7 +29,7 @@ def test_mean_identity(law):
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.family)
 def test_conv_p0_and_pmf_consistency(law):
     for i in (0, 1, 4):
-        assert law.conv_p0(i) == pytest.approx(law.conv_pmf(i, 10)[0], abs=1e-12)
+        assert law.p0 ** i == pytest.approx(law.conv_pmf(i, 10)[0], abs=1e-12)
         assert law.conv_pmf_at(i, 3) == pytest.approx(law.conv_pmf(i, 5)[3], abs=1e-12)
 
 

@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, empty_interaction, pure_death_model
-from parasitelab.ode import (BlowUpError, TruncationTooLarge, drift,
-                             ic_continuity_probe, integrate, mild_residual,
-                             semigroup_apply)
+from parasitelab.ode import (BlowUpError, TruncationTooLarge, drift, integrate,
+                             mild_residual, semigroup_apply)
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
     ModelSpec
 from parasitelab.state import l1_norm, l11_norm
@@ -187,23 +187,6 @@ def test_mild_residual_linear_model():
     assert mild_residual(sol, 1.5, n_quad=128) <= 1e-6
 
 
-def test_ic_continuity_probe(model61):
-    rows = ic_continuity_probe(model61, STANDARD_X0, [0.0, 1e-2, 1e-3, 1e-4], 2.0, J=54)
-    assert rows[0].ratio == 1.0
-    ratios = [r.ratio for r in rows[1:]]
-    assert all(not r.blew_up for r in rows)
-    spread = (max(ratios) - min(ratios)) / min(ratios)
-    assert spread < 0.05
-
-
-def test_ic_continuity_zero_drift():
-    m = ModelSpec("still", BaselineGenerator(lambda i: (), lambda i: 0.0, 1.0, 1.0),
-                  empty_interaction())
-    rows = ic_continuity_probe(m, np.array([0.6, 0.4]), [1e-2, 1e-4], 1.0, J=3)
-    for r in rows:
-        assert r.ratio == pytest.approx(1.0, abs=1e-9)
-
-
 def test_m_t_stable_under_initial_perturbation(model61):
     # sup-norm statistics move continuously with the initial condition
     base = integrate(model61, STANDARD_X0, 2.0, J=54)
@@ -249,3 +232,21 @@ def test_density_many_one_node_solution(model61):
     many = sol.density_many(ts)
     assert many.shape == (4, 8)
     assert np.array_equal(many, _scalar_rows(sol, ts))
+
+
+def _clipped_segments(sol, t):
+    # the segment search density_many used before OdeSolution.segments
+    return np.clip(np.searchsorted(sol.ts, t, side="right") - 1, 0, sol.ts.size - 2)
+
+
+def test_segments_match_the_clipped_search(sol61):
+    rng = np.random.default_rng(5)
+    two_nodes = dataclasses.replace(sol61, ts=sol61.ts[[0, -1]], ys=sol61.ys[[0, -1]],
+                                    fs=sol61.fs[[0, -1]])
+    for sol in (sol61, two_nodes):
+        ts = np.concatenate([sol.ts, rng.uniform(0.0, sol.T, size=500),
+                             [-3.0, -1e-300, sol.T + 1e-12, 9.0, np.nan, -np.inf, np.inf]])
+        assert np.array_equal(sol.segments(ts), _clipped_segments(sol, ts))
+        for t in ts:
+            assert sol.segments(float(t)) == _clipped_segments(sol, float(t))
+    assert not two_nodes.segments(ts).any()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasitelab.state import (BoundM, DensityVector, PopulationState,
-                               l1_norm, l11_norm, lemma_a1_sides, scale)
+from parasitelab.state import (BoundM, PopulationState, l1_norm, l11_norm,
+                               lemma_a1_sides)
 
 
 def test_l1_examples():
@@ -27,7 +27,6 @@ def test_population_state_basics():
     assert xi.total_hosts == 4
     assert l1_norm(xi) == 4.0
     assert l11_norm(xi) == 3 * 1 + 1 * 3
-    assert xi.get(1) == 0 and xi.get(2) == 1
     assert PopulationState.empty().max_load == -1
 
 
@@ -40,40 +39,11 @@ def test_population_state_rejects_bad_counts():
         PopulationState(((0, 2),), total_hosts=5)
 
 
-def test_scale_examples():
-    xi = PopulationState.from_dict({0: 3, 2: 1})
-    assert np.allclose(scale(xi, 4).values, [0.75, 0.0, 0.25])
-    assert np.allclose(scale(PopulationState.empty(), 5).values, [0.0])
-    assert np.allclose(scale(PopulationState.from_dict({1: 7}), 7).values, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        scale(xi, 0)
-
-
-@given(st.dictionaries(st.integers(0, 30), st.integers(1, 50), max_size=8),
-       st.integers(1, 100))
-@settings(max_examples=200, deadline=None)
-def test_scale_roundtrip(counts, N):
-    xi = PopulationState.from_dict(counts)
-    back = np.rint(scale(xi, N).values * N).astype(np.int64)
-    assert PopulationState.from_dense(back) == xi
-
-
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_l11_dominates_l1_on_nonnegative(vals):
     v = np.array(vals)
     assert l11_norm(v) >= l1_norm(v) - 1e-12
-
-
-def test_density_vector_invariants():
-    with pytest.raises(ValueError):
-        DensityVector(np.array([np.inf]))
-    with pytest.raises(ValueError):
-        DensityVector(np.array([1.0]), tail_mass_estimate=-1.0)
-    d = DensityVector(np.array([0.5, -0.001, 0.5]))
-    assert d.J == 2
-    assert d.positive_part()[1] == 0.0
-    assert not d.values.flags.writeable
 
 
 def test_bound_m_validation():

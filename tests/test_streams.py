@@ -7,10 +7,11 @@ sup errors, event and ghost counts, the recorded V trajectory and the
 final four-component state of ``simulate_coupled``; and
 ``compensator_intensity`` at the initial and final coupled states.  A
 second coupled case also hashes the compensator bound ratio on runs that
-grow their load arrays and reach tau before the horizon.  A
-refactor that claims to change no output must leave every digest as it
-is.  A digest may change only together with a CHANGES.md entry that
-declares which random stream changed and why.
+grow their load arrays and reach tau before the horizon.  The last
+group hashes the CSV bodies that ``certify``, ``converge`` and
+``couple`` write.  A refactor that claims to change no output must
+leave every digest as it is.  A digest may change only together with a
+CHANGES.md entry that declares which random stream changed and why.
 """
 
 import dataclasses
@@ -20,15 +21,15 @@ import math
 import numpy as np
 import pytest
 
-from parasitelab import (OffspringLaw, kretzschmar_modified, luchsinger_linear,
-                         luchsinger_nonlinear)
+from parasitelab import (OffspringLaw, harness, kretzschmar_modified,
+                         luchsinger_linear, luchsinger_nonlinear)
 from parasitelab.coupling import CouplingState, compensator_intensity, simulate_coupled
 from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
 from parasitelab.tilde import (concentration_check, mean_identity_check, moment_bound_check,
-                               simulate_tilde, window_fluctuation_check)
+                               simulate_tilde)
 
 T = 1.0
 N_LIST = (20, 60)
@@ -163,7 +164,7 @@ def test_coupled_stream_grows_and_stops(name):
     assert h.hexdigest() == expected
 
 
-# the four X~ checks on small instances of the three example models: the
+# the three X~ checks on small instances of the three example models: the
 # report fields are hashed, so a change in how the checks read counts off
 # their paths (widths, replay, summation order) shows as a new digest.
 # The "grow" cases use a coarse truncation J, so paths reach loads past
@@ -179,31 +180,26 @@ EXPECTED_CHECKS = {
         "moment": "0df9a9bb30d9c97626e841c20cd149d258697e528d62b9b5663bd6011c525da9",
         "mean_identity": "cfc9f0e2369727dcece34eea566e56c3b520915812c6c818600da94794122124",
         "concentration": "fa21623c1db7b1d22a937a88036b96874a12c434ef9de4170922249845403fd4",
-        "window": "d918d6ef07d881d56c1bbeb4479fbc0405bc6770d3a2ea0d6bbea9d51ccdaee4",
     },
     "kretzschmar_modified/grow": {
         "moment": "b6aacfb9c39ed37e453169efb4e689a096a26dc5e31d1a06a3ddb7f3e092cf60",
         "mean_identity": "5ccf169c17a869355a280b83602982a3a710e0fcda3e1cf7f12bb4b73879b387",
         "concentration": "fd932c2fbeef8dfabb3e2c0a4b61077830a275a1394df2ce1732f13e93e79b63",
-        "window": "bd217ddc0be3fda713d1220fc19bb583a1123bf7fb6d655641f1a7ff00633dda",
     },
     "luchsinger_linear": {
         "moment": "5ecb3c567dd65d62a0022e9479b7c0ef06e55a6da52396ceef2eab8dcd7cddee",
         "mean_identity": "0e6f730c68f821b88836c2ea546196aec8ed3b17ef6225e19f22178661e78a73",
         "concentration": "f0c2d02b56f5dae655bf3041443c891f8c90d70ef1bf11fa5a0adbf164db6ec3",
-        "window": "e2dc9ec303671f2beaed1d9120f042687c5083dd56472a764fa70c831cd6ebd7",
     },
     "luchsinger_linear/grow": {
         "moment": "5e3bd93361d3b6ff64e41774cf7f0ce4999e66599470441d6f37cca840b5d610",
         "mean_identity": "c96c8b1c84cd6f7be7e728c451ca0af973ba921ddd064224a17e293adbbdd1f8",
         "concentration": "ee78d0ceab38f1559ecb8e405067ad81dbadbb60823a42a69d81366a01368496",
-        "window": "aaaf4a00f9d7a3c3eae741caff57eb321bcecf570da6cefc92b3e9b91a3e487c",
     },
     "luchsinger_nonlinear": {
         "moment": "f0190e49eb5a327a4cc0d5e2492f62e0add2c35b1b073c6ed6ebfddf9268611e",
         "mean_identity": "ac923e91a99d55df00de07c2f135dd1eb9501fd2cb77466e8179307613bbf10d",
         "concentration": "e09b4625148e93316311f4f52ff05d60570b047302b54364802a88f8dd1c4884",
-        "window": "de5cb3a4b17c8512a16299b85d70434b81561259ffbf85d5de5daa16a6e31d6b",
     },
 }
 
@@ -214,7 +210,7 @@ def check_digests(name: str) -> dict[str, str]:
     N, R = CHECK_N, CHECK_REPLICAS
     xi0 = round_initial(np.array(x0), N)
     sol = integrate(model, xi0.to_dense().astype(np.float64) / N, T, J=J)
-    h = {k: hashlib.sha256() for k in ("moment", "mean_identity", "concentration", "window")}
+    h = {k: hashlib.sha256() for k in ("moment", "mean_identity", "concentration")}
     for seed in (0, 1):
         rep = moment_bound_check(model, xi0, N, T, sol, R, seed)
         _update(h["moment"], rep.bound, rep.empirical_sup, rep.margin, rep.grid,
@@ -227,11 +223,54 @@ def check_digests(name: str) -> dict[str, str]:
         _update(h["concentration"], rep.grid, rep.empirical_mean, rep.std_err, rep.bound,
                 *[np.array(sorted(d.items())) for d in (rep.tail_thresholds, rep.tail_frequency)],
                 rep.replicas)
-        rep = window_fluctuation_check(model, xi0, N, T, sol, R, seed)
-        _update(h["window"], rep.h, rep.threshold_jumps, rep.windows_checked, rep.exceedances)
     return {k: v.hexdigest() for k, v in h.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_CASES))
 def test_tilde_check_digests(name):
     assert check_digests(name) == EXPECTED_CHECKS[name]
+
+
+# the CSV bodies the harness writes, header comment line excluded, on small
+# configs: every certificate, a convergence study on one and on two
+# workers (the same bodies), and the coupled summary
+COUPLE_MODEL = {"name": "kretzschmar_modified", "nu": 1.5, "mu": 1.0, "kappa": 0.3,
+                "alpha_extra": 0.2, "beta_birth": 0.5, "birth_discount": 0.9, "c": 1.0,
+                "offspring": {"family": "poisson", "mean": 0.6}}
+NONLINEAR_MODEL = {"name": "luchsinger_nonlinear", "lam": 1.0, "mu": 1.0, "kappa": 1.0,
+                   "offspring": {"family": "poisson", "mean": 0.8}}
+HARNESS_CASES = {
+    "certify": (COUPLE_MODEL, [0.5, 0.3, 0.2], [20, 40], 5, harness.run_certificates),
+    "converge/1": (NONLINEAR_MODEL, [0.9, 0.1], [20, 40, 80], 6,
+                   lambda cfg: harness.run_convergence(cfg, workers=1)),
+    "converge/2": (NONLINEAR_MODEL, [0.9, 0.1], [20, 40, 80], 6,
+                   lambda cfg: harness.run_convergence(cfg, workers=2)),
+    "couple": (COUPLE_MODEL, [0.5, 0.3, 0.2], [20], 5, harness.coupled_summary),
+}
+EXPECTED_HARNESS = {
+    "certify": "9e4a774221d430bf584d182a0ecc92dbaf710e4864f7dd5810c2ec91d36d62bc",
+    "converge/1": "cbb0d68e1ad8345ee33358cb4f59aea1c6d10b243c86606a3c1973519d1a77f3",
+    "converge/2": "cbb0d68e1ad8345ee33358cb4f59aea1c6d10b243c86606a3c1973519d1a77f3",
+    "couple": "ef0f5fafdccbee8d120c47aa2f095b34c7555bfe00e4c1e7d7e6e52bd19f4a0d",
+}
+
+
+def harness_digest(name: str, out_dir) -> str:
+    model, x0, n_list, replicas, run = HARNESS_CASES[name]
+    cfg = harness.ExperimentConfig.from_dict({
+        "model": model, "initial": {"density": x0},
+        "sim": {"n_list": n_list, "horizon": 0.5, "replicas": replicas, "master_seed": 11},
+        "checks": {"run": list(harness.CERTIFICATES), "replicas": 20},
+        "output": {"directory": str(out_dir)}})
+    run(cfg)
+    h = hashlib.sha256()
+    for path in sorted(out_dir.glob("*.csv")):
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header.startswith(b"# config="), path.name
+        h.update(path.name.encode() + b"\0" + body)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS_CASES))
+def test_harness_csv_digests(name, tmp_path):
+    assert harness_digest(name, tmp_path / "out") == EXPECTED_HARNESS[name]

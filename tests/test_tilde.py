@@ -15,8 +15,7 @@ from parasitelab.ssa import PathRecord, _KIND_INDEX
 from parasitelab.state import PopulationState, l11_norm
 from parasitelab.tilde import (DEATH, IMMIGRATION, MOVE, DominatingRateError,
                                TildeRates, check_dominated, concentration_check,
-                               mean_identity_check, moment_bound_check, simulate_tilde,
-                               window_fluctuation_check)
+                               mean_identity_check, moment_bound_check, simulate_tilde)
 
 
 def still_model():
@@ -202,13 +201,6 @@ def test_concentration_check(model61, xi0_100, sol61_T1):
     assert all(0.0 <= f <= 1.0 for f in rep.tail_frequency.values())
     with pytest.raises(ValueError):
         concentration_check(model61, xi0_100, 8, 1.0, sol61_T1, 10, 2)
-
-
-def test_window_fluctuations(model61, xi0_100, sol61_T1):
-    rep = window_fluctuation_check(model61, xi0_100, 100, 1.0, sol61_T1,
-                                   replicas=60, seed=2, K=1.0, a=2.0)
-    assert rep.windows_checked > 0
-    assert rep.frequency <= 0.05
 
 
 def test_mean_identity_check_paths_past_its_width():
