@@ -33,7 +33,6 @@ from .rates import (
     bound_constants,
     check_growth,
     check_lipschitz_sampled,
-    lipschitz_F,
     semigroup_moment,
 )
 from .models import (
@@ -70,7 +69,6 @@ from .coupling import (
     CoupledRun,
     CouplingInvariantError,
     CouplingState,
-    compensator_intensity,
     martingale_balance_check,
     simulate_coupled,
 )

@@ -15,10 +15,12 @@ target only: a proposal from the X side with target l is accepted as a
 matched move with probability min(a, b)/a, where a and b are the two
 pointwise rates at l, and otherwise becomes an X-side surplus; the
 analogous X~-side proposal yields the X~-side surplus or a ghost.  The
-trajectory-frozen side is additionally thinned against the envelope
-dominators.  Every surplus decouples one pair and increments the
-decoupling counter V = Z4 + sum(Z3), whose compensator intensity is the
-total pointwise rate mismatch between the two processes.
+trajectory-frozen side is additionally thinned through
+``TildeRates.accepts``, the squeeze that also decides the candidates of
+``simulate_tilde``, so both engines share one thinning policy.  Every
+surplus decouples one pair and increments the decoupling counter
+V = Z4 + sum(Z3), whose compensator intensity is the total pointwise
+rate mismatch between the two processes.
 
 Two structural inequalities are asserted after every event and are hard
 errors, never report items: sum(Z2) <= Z4 + sum(Z3), and
@@ -38,7 +40,7 @@ from .ode import OdeSolution
 from .rates import ModelSpec, bound_constants
 from .ssa import EVENT_CAP_DEFAULT
 from .state import PopulationState
-from .tilde import TildeRates, check_dominated
+from .tilde import DEATH, IMMIGRATION, MOVE, TildeRates
 
 _ROW_MARGIN = 40
 
@@ -65,37 +67,22 @@ class CoupledCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CouplingState:
-    """Four-component snapshot; X and X~ are derived views."""
+    """Four-component snapshot: X = Z1 + Z2, X~ = Z1 + Z3, V = Z4 + sum(Z3)."""
 
     Z1: PopulationState
     Z2: PopulationState
     Z3: PopulationState
     Z4: int
 
-    @property
-    def X(self) -> PopulationState:
-        n = max(self.Z1.max_load, self.Z2.max_load, 0) + 1
-        return PopulationState.from_dense(self.Z1.to_dense(n) + self.Z2.to_dense(n))
-
-    @property
-    def X_tilde(self) -> PopulationState:
-        n = max(self.Z1.max_load, self.Z3.max_load, 0) + 1
-        return PopulationState.from_dense(self.Z1.to_dense(n) + self.Z3.to_dense(n))
-
-    @property
-    def V(self) -> int:
-        return self.Z4 + self.Z3.total_hosts
-
 
 def _intensity(model: ModelSpec, z1: np.ndarray, x: np.ndarray, y: np.ndarray,
-               N: int, L: int, x_rows: Optional[dict] = None) -> float:
+               N: int, L: int, x_rows: dict) -> float:
     """Total rate mismatch between densities x and y over the coupled pairs z1.
 
     Target sums run over loads 0..L.  ``x_rows`` keeps the x-side rows
     (key -1: immigration) across calls until the caller empties it.
     """
     inter = model.interaction
-    x_rows = {} if x_rows is None else x_rows
     total = 0.0
     for i in np.nonzero(z1)[0]:
         i = int(i)
@@ -114,27 +101,6 @@ def _intensity(model: ModelSpec, z1: np.ndarray, x: np.ndarray, y: np.ndarray,
         by = inter.beta_profile_at(y, L)
         total += N * float(np.abs(bx - by).sum())
     return total
-
-
-def compensator_intensity(model: ModelSpec, state: CouplingState, t: float,
-                          N: int, ode: OdeSolution,
-                          L_margin: int = _ROW_MARGIN) -> float:
-    """Intensity of the decoupling counter's compensator at (state, t).
-
-    Sum over coupled loads of the pointwise interaction-move rate
-    mismatch between the empirical density and the limit trajectory,
-    plus the immigration and excess-death mismatches.  Target sums are
-    truncated ``L_margin`` loads above the wider of the two supports
-    (the neglected tail is the offspring laws' far tail).
-    """
-    x_state = state.X
-    z1 = state.Z1.to_dense(max(state.Z1.max_load + 1, 1))
-    width = max(x_state.max_load + 1, ode.J + 1)
-    x = x_state.to_dense(width).astype(np.float64) / N
-    y_raw = ode.density(t)
-    y = np.zeros(width)
-    y[: y_raw.size] = y_raw
-    return _intensity(model, z1, x, y, N, width - 1 + L_margin)
 
 
 @dataclass
@@ -174,6 +140,9 @@ _Z1_BASE, _Z2_BASE, _Z3_BASE, _Z3_BDEATH = 0, 1, 2, 3
 _Z1_XALPHA, _Z1_YALPHA, _Z2_ALPHA, _Z3_ALPHA = 4, 5, 6, 7
 _XBETA, _YBETA = 8, 9
 _Z1_XDELTA, _Z1_YDELTA, _Z3_DELTA = 10, 11, 12
+# the trajectory-frozen channels, each with the ``TildeRates`` channel it thins as
+_FROZEN = {_Z1_YALPHA: MOVE, _Z3_ALPHA: MOVE, _YBETA: IMMIGRATION,
+           _Z1_YDELTA: DEATH, _Z3_DELTA: DEATH}
 
 
 def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
@@ -184,15 +153,20 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     """Exact simulation of the joint process from Z1(0) = xi0.
 
     Draw order per candidate event: the exponential waiting time, one
-    channel-selection uniform, an acceptance uniform for dominated
-    (trajectory-frozen) channels, the model's target draw, then one
-    branch uniform deciding matched versus surplus.  tau is detected
-    after every event touching the independent side and at the solver
-    nodes between events; the compensator integral uses three-point
-    Simpson quadrature on every inter-candidate interval.  The padded
-    limit density and the compensator intensity are memoized per time,
-    and the intensity's X-side rows per load; every real event and every
-    growth of the load arrays clears them, a ghost changes nothing.
+    channel-selection uniform, an acceptance uniform for the
+    trajectory-frozen channels, the model's target draw, then one branch
+    uniform deciding matched versus surplus.  The acceptance uniform,
+    scaled by the channel's global dominator, is decided by
+    ``TildeRates.accepts``; its squeeze rejects most ghosts without
+    evaluating the frozen rate and makes the decision of plain thinning
+    on the same uniform.  tau is detected after every event touching the
+    independent side and at the solver nodes between events; the
+    compensator integral uses three-point Simpson quadrature on every
+    inter-candidate interval.  A ghost changes no state, so the channel
+    table is rebuilt only after a real event; the padded limit density
+    and the compensator intensity are memoized per time, and the
+    intensity's X-side rows per load, until a real event or a growth of
+    the load arrays clears them.
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
@@ -286,7 +260,8 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 put(_Z3_DELTA, i, z3[i] * delta_dom)
         put(_XBETA, -1, N * b_x)
         put(_YBETA, -1, N * beta_dom)
-        return codes, loads, np.array(rates)
+        rates = np.array(rates)
+        return codes, loads, float(rates.sum()), np.cumsum(rates)
 
     def branch_rates(a: float, b: float) -> tuple[float, float, float]:
         matched = min(a, b)
@@ -308,7 +283,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             raise CouplingInvariantError("decoupling bound on ||X - X~||_1 broke")
 
     # two-factor compensator bound constants
-    bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0), N)
+    bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0))
 
     x_rows: dict = {}
 
@@ -354,10 +329,9 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
     grid_nodes = ode.ts
 
+    codes, loads, total, cum = build_channels()
     t = 0.0
     while True:
-        codes, loads, rates = build_channels()
-        total = float(rates.sum())
         if total <= 0.0:
             t_next = T + 1.0
         else:
@@ -403,9 +377,8 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         if n_events + n_ghosts >= event_cap:
             raise CoupledCapExceeded(t, event_cap, n_events, n_ghosts)
 
-        cum = np.cumsum(rates)
         u_pick = rng.random() * total
-        pick = min(int(np.searchsorted(cum, u_pick, side="right")), rates.size - 1)
+        pick = min(int(np.searchsorted(cum, u_pick, side="right")), len(codes) - 1)
         code = codes[pick]
         i = loads[pick]
 
@@ -423,6 +396,15 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                     comp_bound_max = max(comp_bound_max, (an / N) / rhs)
                 elif an / N > 1e-12:
                     comp_bound_max = math.inf
+
+        channel = _FROZEN.get(code)
+        if channel is not None:
+            v = rng.random() * frozen.dominator(channel, i)
+            hit, _ = frozen.accepts(np.array([channel]), np.array([i]), np.array([t]),
+                                    np.array([v]))
+            if not hit.size:
+                n_ghosts += 1
+                continue
 
         if code == _Z1_BASE:
             dbar_i = base.dbar(i)
@@ -473,25 +455,20 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 V += 1
                 x_changed = tilde_changed = True
         elif code == _Z1_YALPHA:
-            ay = inter.alpha_total_at(i, y_at(t))
-            check_dominated("interaction-move", i, ay, alpha_dom_at(i), t)
-            if rng.random() * alpha_dom_at(i) < ay:
-                y = y_at(t)
-                l = int(inter.alpha_sample(i, y, rng))
-                a = inter.alpha_pointwise_at(i, l, x)
-                b = inter.alpha_pointwise_at(i, l, y)
-                _, _, sy = branch_rates(a, b)
-                if b <= 0.0:
-                    raise CouplingInvariantError("sampled target with zero pointwise rate")
-                if rng.random() * b < sy:
-                    grow(l + 1)
-                    z1[i] -= 1
-                    z2[i] += 1
-                    z3[l] += 1
-                    V += 1
-                    x_changed = tilde_changed = True
-                else:
-                    ghost = True
+            y = y_at(t)
+            l = int(inter.alpha_sample(i, y, rng))
+            a = inter.alpha_pointwise_at(i, l, x)
+            b = inter.alpha_pointwise_at(i, l, y)
+            _, _, sy = branch_rates(a, b)
+            if b <= 0.0:
+                raise CouplingInvariantError("sampled target with zero pointwise rate")
+            if rng.random() * b < sy:
+                grow(l + 1)
+                z1[i] -= 1
+                z2[i] += 1
+                z3[l] += 1
+                V += 1
+                x_changed = tilde_changed = True
             else:
                 ghost = True
         elif code == _Z2_ALPHA:
@@ -501,16 +478,11 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             z2[l] += 1
             x_changed = True
         elif code == _Z3_ALPHA:
-            ay = inter.alpha_total_at(i, y_at(t))
-            check_dominated("interaction-move", i, ay, alpha_dom_at(i), t)
-            if rng.random() * alpha_dom_at(i) < ay:
-                l = int(inter.alpha_sample(i, y_at(t), rng))
-                grow(l + 1)
-                z3[i] -= 1
-                z3[l] += 1
-                tilde_changed = True
-            else:
-                ghost = True
+            l = int(inter.alpha_sample(i, y_at(t), rng))
+            grow(l + 1)
+            z3[i] -= 1
+            z3[l] += 1
+            tilde_changed = True
         elif code == _XBETA:
             arr = int(inter.beta_sample(x, rng))
             y = y_at(t)
@@ -529,23 +501,18 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 V += 1
                 x_changed = True
         elif code == _YBETA:
-            by_tot = inter.beta_total_at(y_at(t))
-            check_dominated("immigration", -1, by_tot, beta_dom, t)
-            if rng.random() * beta_dom < by_tot:
-                y = y_at(t)
-                arr = int(inter.beta_sample(y, rng))
-                bx_i = inter.beta_pointwise_at(arr, x)
-                by_i = inter.beta_pointwise_at(arr, y)
-                _, _, sy = branch_rates(bx_i, by_i)
-                if by_i <= 0.0:
-                    raise CouplingInvariantError("sampled immigrant with zero pointwise rate")
-                if rng.random() * by_i < sy:
-                    grow(arr + 1)
-                    z3[arr] += 1
-                    V += 1
-                    tilde_changed = True
-                else:
-                    ghost = True
+            y = y_at(t)
+            arr = int(inter.beta_sample(y, rng))
+            bx_i = inter.beta_pointwise_at(arr, x)
+            by_i = inter.beta_pointwise_at(arr, y)
+            _, _, sy = branch_rates(bx_i, by_i)
+            if by_i <= 0.0:
+                raise CouplingInvariantError("sampled immigrant with zero pointwise rate")
+            if rng.random() * by_i < sy:
+                grow(arr + 1)
+                z3[arr] += 1
+                V += 1
+                tilde_changed = True
             else:
                 ghost = True
         elif code == _Z1_XDELTA:
@@ -562,29 +529,19 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 x_changed = tilde_changed = True
         elif code == _Z1_YDELTA:
             dyi = inter.delta_at(i, y_at(t))
-            check_dominated("interaction-death", i, dyi, delta_dom, t)
-            if rng.random() * delta_dom < dyi:
-                dxi = d_x[i]
-                _, _, sy = branch_rates(dxi, dyi)
-                if rng.random() * dyi < sy:
-                    z1[i] -= 1
-                    z2[i] += 1
-                    z4 += 1
-                    V += 1
-                    x_changed = tilde_changed = True
-                else:
-                    ghost = True
+            _, _, sy = branch_rates(d_x[i], dyi)
+            if rng.random() * dyi < sy:
+                z1[i] -= 1
+                z2[i] += 1
+                z4 += 1
+                V += 1
+                x_changed = tilde_changed = True
             else:
                 ghost = True
         elif code == _Z3_DELTA:
-            dyi = inter.delta_at(i, y_at(t))
-            check_dominated("interaction-death", i, dyi, delta_dom, t)
-            if rng.random() * delta_dom < dyi:
-                z3[i] -= 1
-                z4 += 1
-                tilde_changed = True
-            else:
-                ghost = True
+            z3[i] -= 1
+            z4 += 1
+            tilde_changed = True
 
         if ghost:
             n_ghosts += 1
@@ -594,6 +551,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         forget()
         if x_changed:
             refresh_x()
+        codes, loads, total, cum = build_channels()
         assert_invariants()
         if record_trajectory:
             times.append(t)

@@ -30,6 +30,9 @@ from .rates import BaselineGenerator, ModelSpec
 from .state import l11_norm
 
 DENSE_EXPM_CAP = 400
+# equal subdivisions per segment of the dense-output grid that M_T and G_T
+# are taken over
+GRID_REFINE = 8
 
 
 class BlowUpError(RuntimeError):
@@ -95,9 +98,10 @@ class OdeSolution:
     """Accepted-step trajectory with cubic Hermite dense output.
 
     ``ts``/``ys`` are the accepted nodes and values, ``fs`` the drift at
-    the nodes.  ``M_T`` and ``G_T`` are the running sup of the parasite
-    and host norms over the dense output.  When ``blow_up`` is set the
-    grid ends at the crossing time instead of the horizon.
+    the nodes.  ``M_T`` and ``G_T`` are the largest parasite and host
+    norms over ``grid()``, ``GRID_REFINE`` dense-output points per
+    segment.  When ``blow_up`` is set the grid ends at the crossing time
+    instead of the horizon.
 
     ``density(t)`` evaluates the dense output at one time;
     ``density_many(ts)`` evaluates it at a whole array of times in one
@@ -177,9 +181,9 @@ class OdeSolution:
         out[t >= nodes[-1]] = self.ys[-1]
         return out
 
-    def grid(self, refine: int = 8) -> np.ndarray:
-        """Node grid with ``refine`` equal subdivisions per segment."""
-        parts = [np.linspace(self.ts[k], self.ts[k + 1], refine + 1)[:-1]
+    def grid(self) -> np.ndarray:
+        """Node grid with ``GRID_REFINE`` equal subdivisions per segment."""
+        parts = [np.linspace(self.ts[k], self.ts[k + 1], GRID_REFINE + 1)[:-1]
                  for k in range(self.ts.size - 1)]
         parts.append(self.ts[-1:])
         return np.concatenate(parts)
@@ -210,9 +214,7 @@ def default_truncation(x0) -> int:
 
 def integrate(model: ModelSpec, x0, T: float, J: Optional[int] = None,
               rtol: float = 1e-6, atol: float = 1e-8,
-              blowup_cap: Optional[float] = None,
-              max_step: Optional[float] = None,
-              grid_refine: int = 8) -> OdeSolution:
+              blowup_cap: Optional[float] = None) -> OdeSolution:
     """Integrate the truncated limit system from x0 over [0, T].
 
     Raises ``BlowUpError`` (carrying the partial solution) if the l11
@@ -252,11 +254,8 @@ def integrate(model: ModelSpec, x0, T: float, J: Optional[int] = None,
         return OdeSolution(model, J, ts, ys, fs, 0.0, m, g, False, None,
                            blowup_cap, rtol, atol, True)
 
-    kwargs = {}
-    if max_step is not None:
-        kwargs["max_step"] = max_step
     sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=rtol, atol=atol,
-                    events=[blow_event], **kwargs)
+                    events=[blow_event])
     if sol.status == -1:
         raise StiffnessError(sol.message)
     ts = sol.t
@@ -265,12 +264,12 @@ def integrate(model: ModelSpec, x0, T: float, J: Optional[int] = None,
     blow_time = float(sol.t_events[0][0]) if blow else None
     fs = np.array([rhs(t, y) for t, y in zip(ts, ys)])
 
-    # running sup norms over the dense output
+    # sup norms sampled on the refined dense-output grid
     m_T = 0.0
     g_T = 0.0
     out = OdeSolution(model, J, ts, ys, fs, T, 0.0, 0.0, blow, blow_time,
                       blowup_cap, rtol, atol, True)
-    for y in out.density_many(out.grid(grid_refine)):
+    for y in out.density_many(out.grid()):
         m_T = max(m_T, float(np.dot(weights, np.abs(y))))
         g_T = max(g_T, float(np.abs(y).sum()))
     out.M_T = m_T

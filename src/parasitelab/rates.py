@@ -332,56 +332,26 @@ def _check_rate(kind: str, load: int, rate: float) -> float:
 # computable constants
 # ---------------------------------------------------------------------------
 
-def lipschitz_F(model: ModelSpec, M: float) -> float:
-    """Lipschitz constant of the interaction drift on the l11 ball of radius M."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    e = model.interaction.envelopes
-    return (
-        e.a10 + e.a11(0.0) * M + M * e.a11(M)
-        + e.a00 + e.a01(0.0) * M + M * e.a01(M)
-        + e.b11(M)
-        + e.d0 + e.d1(0.0) * M + M * e.d1(M)
-    )
-
-
 @dataclass(frozen=True)
 class BoundConstants:
-    """Every constant of the moment, concentration and coupling bounds.
+    """The constants of the moment bound and the coupling's compensator bound."""
 
-    ``a3`` is NaN when the interaction envelope vanishes (chi = 0), in
-    which case no bound uses it.
-    """
-
-    F_M: float
     a0_star: float
     a1_star: float
-    chi: float
-    a3: float
-    H_T: float
     H1: float
     H2: float
 
 
-def bound_constants(model: ModelSpec, M_T: float, G_T: float, N: int) -> BoundConstants:
+def bound_constants(model: ModelSpec, M_T: float, G_T: float) -> BoundConstants:
     """Evaluate the bound constants for a trajectory with sup norms (M_T, G_T)."""
     if M_T < 1 or G_T < 1:
         raise ValueError("M_T and G_T must be >= 1")
     e = model.interaction.envelopes
-    m1, m2 = model.baseline.m1, model.baseline.m2
-    F_M = lipschitz_F(model, M_T)
     a0_star = e.a10 - e.a00
     a1_star = e.a11(0.0) - e.a01(0.0)
-    chi = e.a00 + e.a01(0.0) * M_T
-    a3 = (e.a10 + e.a11(0.0) * M_T) / chi if chi > 0 else math.nan
-    H_T = 2.0 ** (m2 - 1.0) * m1 + (
-        e.b10 + e.a00 + e.b01(0.0) + e.d0 + G_T * (e.a01(0.0) + e.d1(0.0))
-    ) / (N * M_T) ** (m2 - 1.0)
-    if H_T < 1.0:
-        raise AssertionError(f"H_T = {H_T} < 1 contradicts the rate-bound constant's range")
     H1 = G_T * e.a01(M_T) + e.b01(M_T) + G_T * e.d1(M_T)
     H2 = e.a01(M_T) + e.d1(M_T)
-    return BoundConstants(F_M, a0_star, a1_star, chi, a3, H_T, H1, H2)
+    return BoundConstants(a0_star, a1_star, H1, H2)
 
 
 # ---------------------------------------------------------------------------

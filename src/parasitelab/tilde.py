@@ -92,8 +92,9 @@ class TildeRates:
     at zero and scaled by the trajectory's sup host norm; structural
     zeros (loads without interaction moves, models without excess death
     or immigration) get zero dominators, which keeps thinning free for
-    those channels.  ``simulate_coupled`` thins its trajectory-frozen
-    side against these same dominators.
+    those channels.  ``simulate_coupled`` decides its trajectory-frozen
+    candidates through ``accepts`` too, one candidate per call, so both
+    engines share one thinning policy.
 
     ``accepts`` decides thinned candidates by a squeeze.  On segment k
     of the dense output, ``excursions[k]`` bounds the l1 distance of
@@ -176,13 +177,14 @@ class TildeRates:
         return (dy + _HERMITE_SLOPE * slopes
                 + _HERMITE_ROUNDING * (y[:-1] + y[1:] + slopes))
 
-    def _dominator(self, channel: int, load: int) -> float:
+    def dominator(self, channel: int, load: int) -> float:
+        """Global dominator of channel ``CHANNELS[channel]`` at ``load``."""
         if channel == MOVE:
             return self.alpha_dom_at(load)
         return self.delta_dom if channel == DEATH else self.beta_dom
 
     def _segment_bound(self, channel: int, load: int, k: int) -> float:
-        dom = self._dominator(channel, load)
+        dom = self.dominator(channel, load)
         if self.ode.ts.size < 2:        # a one-node solution has no segments
             return dom
         rate, modulus = self._channels[channel]
@@ -232,7 +234,7 @@ class TildeRates:
         for n, (j, x) in enumerate(zip(live.tolist(), xs)):
             c, load, t = int(channels[j]), int(loads[j]), float(ts[j])
             rate = self._channels[c][0](load, x)
-            check_dominated(CHANNELS[c], load, rate, self._dominator(c, load), t)
+            check_dominated(CHANNELS[c], load, rate, self.dominator(c, load), t)
             check_dominated(CHANNELS[c], load, rate, float(bound[j]), t)
             accepted[n] = vs[j] < rate
         return live[accepted], xs[accepted]
@@ -372,7 +374,7 @@ def moment_bound_check(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     amplified at rate w + a0* + a1* M_T.
     """
     e = model.interaction.envelopes
-    bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0), N)
+    bc = bound_constants(model, max(ode.M_T, 1.0), max(ode.G_T, 1.0))
     M = max(ode.M_T, 1.0)
     bound = (l11_norm(xi0.to_dense()) / N + T * (e.b10 + e.b11(0.0) * M)) \
         * math.exp((model.baseline.w + bc.a0_star + bc.a1_star * M) * T)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from conftest import STANDARD_X0
+from coupling_ref import X, X_tilde
 from oracle import enumerate_chain, transient_moments
 from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
     luchsinger_nonlinear
@@ -59,7 +60,7 @@ def test_criterion_01_coupling_exact_in_trivial_regime():
         run = simulate_coupled(m, xi0, 10, 1.0, sol, seed)
         ok &= run.V_T == 0
         ok &= run.final.Z2.total_hosts == 0 and run.final.Z3.total_hosts == 0
-        ok &= run.final.Z4 == 0 and run.final.X == run.final.X_tilde
+        ok &= run.final.Z4 == 0 and X(run.final) == X_tilde(run.final)
     report(1, ok, "state-independent rates: V_N = 0 and X = X~ on 100 paths")
 
 

@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from parasitelab.coupling import (CoupledCapExceeded, CouplingState,
-                                  compensator_intensity,
+from coupling_ref import V, X, X_tilde, compensator_intensity
+from parasitelab import OffspringLaw, luchsinger_nonlinear
+from parasitelab.coupling import (_ROW_MARGIN, CoupledCapExceeded, CouplingState, _intensity,
                                   martingale_balance_check, simulate_coupled)
+from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
     ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
+from parasitelab.tilde import DominatingRateError
 
 
 def constant_alpha_model(c: float = 0.5) -> ModelSpec:
@@ -46,7 +50,7 @@ def test_constant_rates_never_decouple():
         assert run.final.Z3.total_hosts == 0
         assert run.final.Z4 == 0
         # X and X~ coincide pathwise
-        assert run.final.X == run.final.X_tilde
+        assert X(run.final) == X_tilde(run.final)
         assert run.sup_err_X == pytest.approx(run.sup_err_tilde)
 
 
@@ -56,16 +60,16 @@ def test_baseline_only_stays_coupled(model61):
     xi0 = PopulationState.from_dict({0: 30})
     run = simulate_coupled(model61, xi0, 30, 1.0, sol, 1)
     assert run.V_T == 0 and run.n_events == 0
-    assert run.final.X == xi0
+    assert X(run.final) == xi0
 
 
 def test_coupling_state_views():
     s = CouplingState(PopulationState.from_dict({0: 2, 1: 1}),
                       PopulationState.from_dict({2: 1}),
                       PopulationState.from_dict({0: 1}), 3)
-    assert s.X.to_dense(3).tolist() == [2, 1, 1]
-    assert s.X_tilde.to_dense(2).tolist() == [3, 1]
-    assert s.V == 4
+    assert X(s).to_dense(3).tolist() == [2, 1, 1]
+    assert X_tilde(s).to_dense(2).tolist() == [3, 1]
+    assert V(s) == 4
 
 
 def test_compensator_zero_when_matched(model61):
@@ -90,7 +94,7 @@ def test_compensator_matches_rate_mismatch(model61, sol61_T1):
     s = CouplingState(PopulationState.from_dict({0: 80, 1: 20}),
                       PopulationState.empty(), PopulationState.empty(), 0)
     t = 0.5
-    x = s.X.to_dense(55).astype(float) / 100
+    x = X(s).to_dense(55).astype(float) / 100
     y = np.zeros(55)
     y[: sol61_T1.density(t).size] = sol61_T1.density(t)
     row_x = model61.interaction.alpha_row_at(0, x, 200)
@@ -107,7 +111,8 @@ def test_marginal_means_match_plain_ssa(model61, xi0_100, sol61_T1):
     acc_plain = np.zeros(60)
     for s in range(runs):
         run = simulate_coupled(model61, xi0_100, N, T, sol61_T1, 1000 + s)
-        acc_coupled[: run.final.X.max_load + 1] += run.final.X.to_dense()
+        x_final = X(run.final)
+        acc_coupled[: x_final.max_load + 1] += x_final.to_dense()
         p = simulate(model61, xi0_100, N, T, 5000 + s)
         acc_plain[: p.final.max_load + 1] += p.final.to_dense()
     for j in range(8):
@@ -121,8 +126,9 @@ def test_v_bounds_discrepancy_and_is_nondecreasing(model61, xi0_100, sol61_T1):
         run = simulate_coupled(model61, xi0_100, 100, 1.0, sol61_T1, seed,
                                record_trajectory=True)
         final = run.final
-        n = max(final.X.max_load, final.X_tilde.max_load) + 1
-        gap = int(np.abs(final.X.to_dense(n) - final.X_tilde.to_dense(n)).sum())
+        x, x_tilde = X(final), X_tilde(final)
+        n = max(x.max_load, x_tilde.max_load) + 1
+        gap = int(np.abs(x.to_dense(n) - x_tilde.to_dense(n)).sum())
         assert gap <= 2 * run.V_T
         if run.V_traj.size:
             assert np.all(np.diff(run.V_traj) >= 0)
@@ -180,3 +186,52 @@ def test_coupled_event_cap_is_typed(model61, xi0_100, sol61_T1):
     assert err.n_events + err.n_ghosts == 4
     assert 0.0 < err.t <= 1.0
     assert "event cap 4" in str(err)
+
+
+def test_memoized_intensity_matches_reference(model62):
+    # the engine's intensity, reusing its X-side rows across times, equals
+    # the unmemoized reference bit for bit
+    N = 50
+    sol = integrate(model62, np.array([0.0, 0.9, 0.1]), 1.0, J=54)
+    run = simulate_coupled(model62, PopulationState.from_dict({1: 45, 2: 5}), N, 1.0, sol, 3)
+    state = run.final
+    assert state.Z1.total_hosts
+    x_state = X(state)
+    width = max(x_state.max_load + 1, sol.J + 1)
+    x = x_state.to_dense(width) / N
+    rows: dict = {}
+    for t in (0.0, 0.5, 1.0):
+        y = np.zeros(width)
+        y[: sol.J + 1] = sol.density(t)
+        memo = _intensity(model62, state.Z1.to_dense(width), x, y, N, width - 1 + _ROW_MARGIN,
+                          rows)
+        assert memo > 0.0 and memo == compensator_intensity(model62, state, t, N, sol)
+    assert rows
+
+
+def test_coupled_thinning_soundness_fault_injection(model61, xi0_100, sol61_T1):
+    # a deflated envelope puts the frozen interaction rate above its
+    # dominator: the coupling's thinning must raise, not accept
+    corrupt_env = Envelopes(a01=lambda z: 0.01, a11=model61.interaction.envelopes.a11)
+    bad = ModelSpec(model61.name, model61.baseline,
+                    dataclasses.replace(model61.interaction, envelopes=corrupt_env))
+    with pytest.raises(DominatingRateError):
+        for s in range(50):
+            simulate_coupled(bad, xi0_100, 100, 1.0, sol61_T1, s)
+
+
+def test_coupled_local_bound_fault_injection():
+    # a01(0) is right, so the global dominator holds, but a01(z) = 0 for
+    # z > 0 leaves the segment bound at rate(y_k), which the rising
+    # infection rate passes inside a segment: the squeeze must raise
+    x0 = np.array([0.95, 0.05])
+    model = luchsinger_nonlinear(3.0, 1.0, 1.0, OffspringLaw.poisson(1.0))
+    env = dataclasses.replace(model.interaction.envelopes,
+                              a01=lambda z: 3.0 if z == 0.0 else 0.0)
+    bad = ModelSpec(model.name, model.baseline,
+                    dataclasses.replace(model.interaction, envelopes=env))
+    sol = integrate(model, x0, 1.0, J=54)
+    xi0 = round_initial(x0, 100)
+    with pytest.raises(DominatingRateError):
+        for s in range(50):
+            simulate_coupled(bad, xi0, 100, 1.0, sol, s)

@@ -8,7 +8,7 @@ from parasitelab import OffspringLaw, luchsinger_nonlinear
 from parasitelab.rates import (BaselineGenerator, EventKind,
                                LipschitzSampleConfig, ModelSpec,
                                bound_constants, check_growth,
-                               check_lipschitz_sampled, lipschitz_F,
+                               check_lipschitz_sampled,
                                semigroup_moment)
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
@@ -108,58 +108,27 @@ def test_sample_exit_without_death_always_moves():
         assert base.sample_exit(i, top, 0.0) == last
 
 
-def test_lipschitz_F_examples():
-    zero = ModelSpec("none", pure_death_model().baseline, empty_interaction())
-    assert lipschitz_F(zero, 1.0) == 0.0
-    m = luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.point_mass(2))
-    assert lipschitz_F(m, 1.0) == pytest.approx(6.0)
-    vals = [lipschitz_F(m, M) for M in (0.0, 1.0, 2.0, 4.0)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_lipschitz_F_matches_term_by_term(model61):
-    # independent recomputation, term by term in a different order
-    e = model61.interaction.envelopes
-    for M in (0.5, 1.0, 3.0):
-        terms = [
-            e.a10, e.a00, e.d0, e.b11(M),
-            M * (e.a11(0.0) + e.a01(0.0) + e.d1(0.0)),
-            M * (e.a11(M) + e.a01(M) + e.d1(M)),
-        ]
-        acc = 0.0
-        for t in sorted(terms):
-            acc += t
-        assert lipschitz_F(model61, M) == pytest.approx(acc, rel=1e-12)
-
-
 def test_bound_constants_frozen_values():
-    # lam = mu = kappa = 1, theta = 0.8, M_T = G_T = 2, N = 100
+    # lam = mu = kappa = 1, theta = 0.8, M_T = G_T = 2
     m = luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8))
-    bc = bound_constants(m, 2.0, 2.0, 100)
-    assert bc.F_M == pytest.approx(8.0)
+    bc = bound_constants(m, 2.0, 2.0)
     assert bc.a0_star == 0.0
     assert bc.a1_star == 0.0          # lam (max(theta,1) - 1) with theta < 1
-    assert bc.chi == pytest.approx(2.0)
-    assert bc.a3 == pytest.approx(1.0)
-    assert bc.H_T == pytest.approx(4.0)
     assert bc.H1 == pytest.approx(2.0)
     assert bc.H2 == pytest.approx(1.0)
 
 
 def test_bound_constants_a1_star_supercritical(model61_heavy):
     e = model61_heavy.interaction.envelopes
-    bc = bound_constants(model61_heavy, 1.5, 1.0, 50)
+    bc = bound_constants(model61_heavy, 1.5, 1.0)
     assert bc.a1_star == pytest.approx(e.a11(0.0) - e.a01(0.0))
     assert bc.a1_star == pytest.approx(1.0 * (1.5 - 1.0))
 
 
 def test_bound_constants_baseline_only():
     m = ModelSpec("plain", pure_death_model().baseline, empty_interaction())
-    bc = bound_constants(m, 1.0, 1.0, 10)
-    assert bc.H_T == pytest.approx(1.0)      # 2^{m2-1} m1 with m1 = m2 = 1
+    bc = bound_constants(m, 1.0, 1.0)
     assert bc.H1 == 0.0 and bc.H2 == 0.0
-    assert math.isnan(bc.a3)
-    assert bc.H_T >= 1.0
 
 
 def test_check_growth_examples(model61):

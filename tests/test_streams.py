@@ -5,7 +5,8 @@ example model at one N, over several seeds: the ``PathRecord`` arrays of
 ``simulate`` and ``simulate_tilde``; the evaluation-time values, tau,
 sup errors, event and ghost counts, the recorded V trajectory and the
 final four-component state of ``simulate_coupled``; and
-``compensator_intensity`` at the initial and final coupled states.  A
+``compensator_intensity`` (``tests/coupling_ref.py``) at the initial and
+final coupled states.  A
 second coupled case also hashes the compensator bound ratio on runs that
 grow their load arrays and reach tau before the horizon.  The last
 group hashes the CSV bodies that ``certify``, ``converge`` and
@@ -21,9 +22,10 @@ import math
 import numpy as np
 import pytest
 
+from coupling_ref import compensator_intensity
 from parasitelab import (OffspringLaw, harness, kretzschmar_modified,
                          luchsinger_linear, luchsinger_nonlinear)
-from parasitelab.coupling import CouplingState, compensator_intensity, simulate_coupled
+from parasitelab.coupling import CouplingState, simulate_coupled
 from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.ssa import simulate
