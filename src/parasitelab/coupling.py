@@ -25,6 +25,13 @@ rate mismatch between the two processes.
 Two structural inequalities are asserted after every event and are hard
 errors, never report items: sum(Z2) <= Z4 + sum(Z3), and
 ||X - X~||_1 <= sum(Z2 + Z3) <= 2 V.
+
+The compensator integral A is taken by one Simpson panel per piece of a
+grid that ghosts do not set: a piece ends only at a real event (it is
+integrated under the pre-event state), a solver node, tau or T.  Between
+real events the integrand moves only with the limit density, a cubic on
+each solver segment.  The two-factor compensator bound is checked at
+every point where the integrand is evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .ode import OdeSolution
 from .rates import ModelSpec, bound_constants
 from .ssa import EVENT_CAP_DEFAULT
 from .state import PopulationState
-from .tilde import DEATH, IMMIGRATION, MOVE, TildeRates
+from .tilde import DEATH, IMMIGRATION, MOVE, TildeRates, frozen_rates
 
 _ROW_MARGIN = 40
 
@@ -112,7 +119,9 @@ class CoupledRun:
     first time the independent side strays host-norm distance 1 from
     the limit trajectory).  ``compensator_bound_ratio`` is the largest
     observed ratio of the compensator intensity to its two-factor bound
-    over pre-tau event times.
+    over the quadrature points up to tau, and
+    ``compensator_bound_checked`` counts the points where either side
+    of that bound is positive.
     """
 
     model_name: str
@@ -143,13 +152,16 @@ _Z1_XDELTA, _Z1_YDELTA, _Z3_DELTA = 10, 11, 12
 # the trajectory-frozen channels, each with the ``TildeRates`` channel it thins as
 _FROZEN = {_Z1_YALPHA: MOVE, _Z3_ALPHA: MOVE, _YBETA: IMMIGRATION,
            _Z1_YDELTA: DEATH, _Z3_DELTA: DEATH}
+# the frozen-side surplus proposals, which a matched target turns into ghosts
+_MAY_GHOST = (_Z1_YALPHA, _YBETA, _Z1_YDELTA)
 
 
 def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                      ode: OdeSolution, seed,
                      eval_times: Sequence[float] = (),
                      event_cap: int = EVENT_CAP_DEFAULT,
-                     record_trajectory: bool = False) -> CoupledRun:
+                     record_trajectory: bool = False,
+                     rates: Optional[TildeRates] = None) -> CoupledRun:
     """Exact simulation of the joint process from Z1(0) = xi0.
 
     Draw order per candidate event: the exponential waiting time, one
@@ -159,14 +171,21 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     scaled by the channel's global dominator, is decided by
     ``TildeRates.accepts``; its squeeze rejects most ghosts without
     evaluating the frozen rate and makes the decision of plain thinning
-    on the same uniform.  tau is detected after every event touching the
-    independent side and at the solver nodes between events; the
-    compensator integral uses three-point Simpson quadrature on every
-    inter-candidate interval.  A ghost changes no state, so the channel
-    table is rebuilt only after a real event; the padded limit density
-    and the compensator intensity are memoized per time, and the
-    intensity's X-side rows per load, until a real event or a growth of
-    the load arrays clears them.
+    on the same uniform.  tau and the sup errors are read at every
+    candidate time and solver node, and tau after every event touching
+    the independent side too.  The compensator integral takes one
+    three-point Simpson panel per quadrature piece: a piece ends at a
+    real event (closed under the pre-event state, before the event
+    moves it), a solver node, tau or T, never at a ghost.  An evaluation
+    time reads the closed pieces plus a partial panel from the open
+    piece's start.  The compensator bound is checked at every quadrature
+    point, and ``compensator_bound_checked`` counts those points.  A
+    ghost changes no state, so the channel table is rebuilt only after a
+    real event; the padded limit density and the compensator intensity
+    are memoized per time, and the intensity's X-side rows per load,
+    until a real event or a growth of the load arrays clears them.
+    ``rates``, the ``TildeRates`` of ``model`` and ``ode``, lets the
+    replicas of one study share its tables; it changes no path.
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
@@ -174,7 +193,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     seed_repr = seed if isinstance(seed, int) else -1
     inter = model.interaction
     base = model.baseline
-    frozen = TildeRates(model, ode, N)
+    frozen = frozen_rates(model, ode, N, rates)
     alpha_dom_at = frozen.alpha_dom_at
     delta_dom, beta_dom = frozen.delta_dom, frozen.beta_dom
 
@@ -289,7 +308,17 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
     @functools.cache
     def a_n_at(t: float) -> float:
-        return _intensity(model, z1, x, y_at(t), N, width - 1 + _ROW_MARGIN, x_rows)
+        # every quadrature point also checks the compensator bound
+        nonlocal comp_bound_max, comp_bound_n
+        an = _intensity(model, z1, x, y_at(t), N, width - 1 + _ROW_MARGIN, x_rows)
+        rhs = (bc.H1 + bc.H2 * err_tilde(t)) * err_x(t)
+        if an > 0.0 or rhs > 0.0:
+            comp_bound_n += 1
+            if rhs > 0.0:
+                comp_bound_max = max(comp_bound_max, (an / N) / rhs)
+            elif an / N > 1e-12:
+                comp_bound_max = math.inf
+        return an
 
     def forget():
         # a ghost changes none of what the memos depend on
@@ -302,6 +331,13 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             return 0.0
         mid = 0.5 * (t0 + t1)
         return (t1 - t0) / 6.0 * (a_n_at(t0) + 4.0 * a_n_at(mid) + a_n_at(t1))
+
+    def close_piece(u: float):
+        # integrate the open quadrature piece up to u under the current state
+        nonlocal A_cum, piece_start
+        if tau is None:
+            A_cum += simpson(piece_start, u)
+        piece_start = u
 
     def err_x(t: float) -> float:
         return float(np.abs(x - y_at(t)).sum())
@@ -318,6 +354,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     V = 0
     V_tau = 0
     A_cum = 0.0
+    piece_start = 0.0
     sup_ex = err_x(0.0)
     sup_et = err_tilde(0.0)
     comp_bound_max = 0.0
@@ -338,13 +375,14 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             t_next = t + rng.exponential(1.0 / total)
         t_stop = min(t_next, T)
 
-        # sweep the open interval (t, t_stop]: tau scan at solver nodes,
-        # sup errors, compensator quadrature, pending evaluation times
+        # sweep the open interval (t, t_stop]: tau scan and sup errors at
+        # solver nodes and t_stop, pending evaluation times, and the
+        # quadrature pieces that end at a solver node, at tau or at T
         lo = int(np.searchsorted(grid_nodes, t, side="right"))
         hi = int(np.searchsorted(grid_nodes, t_stop, side="right"))
-        markers = [float(u) for u in grid_nodes[lo:hi]] + [t_stop]
+        markers = [(float(u), True) for u in grid_nodes[lo:hi]] + [(t_stop, t_next > T)]
         seg_start = t
-        for u in markers:
+        for u, piece_end in markers:
             if u <= seg_start:
                 continue
             # evaluation times inside (seg_start, u]
@@ -353,21 +391,21 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 if s <= seg_start:
                     next_eval += 1
                     continue
-                if tau is not None and tau <= s:
+                if tau is not None:
                     V_at[next_eval] = V_tau
                     A_at[next_eval] = A_cum
                 else:
-                    A_at[next_eval] = A_cum + simpson(seg_start, s)
+                    A_at[next_eval] = A_cum + simpson(piece_start, s)
                     V_at[next_eval] = V
                 next_eval += 1
-            if tau is None:
-                A_cum += simpson(seg_start, u)
             ex, et = err_x(u), err_tilde(u)
             sup_ex = max(sup_ex, ex)
             sup_et = max(sup_et, et)
-            if tau is None and et >= 1.0:
-                tau = u
-                V_tau = V
+            if tau is None and (piece_end or et >= 1.0):
+                close_piece(u)
+                if et >= 1.0:
+                    tau = u
+                    V_tau = V
             seg_start = u
 
         if t_next > T:
@@ -385,17 +423,6 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         ghost = False
         x_changed = False
         tilde_changed = False
-        # pre-event compensator bound check at this event time
-        if tau is None:
-            an = a_n_at(t)
-            exn, etn = err_x(t), err_tilde(t)
-            rhs = (bc.H1 + bc.H2 * etn) * exn
-            if an > 0.0 or rhs > 0.0:
-                comp_bound_n += 1
-                if rhs > 0.0:
-                    comp_bound_max = max(comp_bound_max, (an / N) / rhs)
-                elif an / N > 1e-12:
-                    comp_bound_max = math.inf
 
         channel = _FROZEN.get(code)
         if channel is not None:
@@ -406,6 +433,9 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 n_ghosts += 1
                 continue
 
+        # the piece ends under the pre-event state, before any change to it
+        if code not in _MAY_GHOST:
+            close_piece(t)
         if code == _Z1_BASE:
             dbar_i = base.dbar(i)
             chosen = base.sample_exit(i, rng.random() * (base.alpha_star(i) + dbar_i), dbar_i)
@@ -463,6 +493,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             if b <= 0.0:
                 raise CouplingInvariantError("sampled target with zero pointwise rate")
             if rng.random() * b < sy:
+                close_piece(t)
                 grow(l + 1)
                 z1[i] -= 1
                 z2[i] += 1
@@ -509,6 +540,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             if by_i <= 0.0:
                 raise CouplingInvariantError("sampled immigrant with zero pointwise rate")
             if rng.random() * by_i < sy:
+                close_piece(t)
                 grow(arr + 1)
                 z3[arr] += 1
                 V += 1
@@ -531,6 +563,7 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
             dyi = inter.delta_at(i, y_at(t))
             _, _, sy = branch_rates(d_x[i], dyi)
             if rng.random() * dyi < sy:
+                close_piece(t)
                 z1[i] -= 1
                 z2[i] += 1
                 z4 += 1

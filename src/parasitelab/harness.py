@@ -42,7 +42,7 @@ from .rates import (ModelSpec, check_growth, check_lipschitz_sampled,
                     semigroup_moment)
 from .ssa import CapExceeded, simulate, sup_l1_error
 from .state import BoundM, PopulationState, l11_norm, lemma_a1_sides
-from .tilde import (DominatingRateError, concentration_check,
+from .tilde import (DominatingRateError, TildeRates, concentration_check,
                     mean_identity_check, moment_bound_check, simulate_tilde)
 
 WORKERS_ENV = "PARASITELAB_WORKERS"
@@ -691,9 +691,11 @@ def run_certificates(cfg: ExperimentConfig, write: bool = True,
                                ["replica", "final_hosts"],
                                list(enumerate(finals))))
             elif name == "coupling":
+                rates = TildeRates(model, sol, N0)
                 runs = [simulate_coupled(model, xi0, N0, T, sol,
                                          replica_seed(cfg.master_seed, N0, 4 * 10 ** 6 + r),
-                                         eval_times=[T], event_cap=cfg.event_cap)
+                                         eval_times=[T], event_cap=cfg.event_cap,
+                                         rates=rates)
                         for r in range(max(100, cfg.check_replicas // 2))]
                 mart = martingale_balance_check(runs)
                 worst_ratio = max(r.compensator_bound_ratio for r in runs)
@@ -763,9 +765,10 @@ def coupled_summary(cfg: ExperimentConfig, N: Optional[int] = None,
     R = replicas or cfg.replicas
     xi0 = round_initial(cfg.density, N)
     sol = limit_trajectory(cfg, model, xi0.to_dense().astype(float) / N)
+    rates = TildeRates(model, sol, N)
     runs = [simulate_coupled(model, xi0, N, cfg.horizon, sol,
                              replica_seed(cfg.master_seed, N, r), eval_times=[cfg.horizon],
-                             event_cap=cfg.event_cap)
+                             event_cap=cfg.event_cap, rates=rates)
             for r in range(R)]
     if write:
         stamp = f"config={cfg.config_hash()} master_seed={cfg.master_seed}"

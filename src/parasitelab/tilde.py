@@ -94,7 +94,8 @@ class TildeRates:
     or immigration) get zero dominators, which keeps thinning free for
     those channels.  ``simulate_coupled`` decides its trajectory-frozen
     candidates through ``accepts`` too, one candidate per call, so both
-    engines share one thinning policy.
+    engines share one thinning policy.  One instance serves every
+    replica of a study, in either engine.
 
     ``accepts`` decides thinned candidates by a squeeze.  On segment k
     of the dense output, ``excursions[k]`` bounds the l1 distance of
@@ -229,7 +230,9 @@ class TildeRates:
         live = (vs < bound * (1.0 + _SOUNDNESS_TOL)).nonzero()[0]
         if not live.size:
             return live, np.zeros((0, self.ode.J + 1))
-        xs = self.ode.density_many(ts[live])
+        # one survivor: ``density`` is the ``density_many`` row, bit for bit
+        xs = self.ode.density(float(ts[live[0]]))[None, :] if live.size == 1 \
+            else self.ode.density_many(ts[live])
         accepted = np.zeros(live.size, dtype=bool)
         for n, (j, x) in enumerate(zip(live.tolist(), xs)):
             c, load, t = int(channels[j]), int(loads[j]), float(ts[j])
@@ -238,6 +241,16 @@ class TildeRates:
             check_dominated(CHANNELS[c], load, rate, float(bound[j]), t)
             accepted[n] = vs[j] < rate
         return live[accepted], xs[accepted]
+
+
+def frozen_rates(model: ModelSpec, ode: OdeSolution, N: int,
+                 rates: Optional[TildeRates] = None) -> TildeRates:
+    """``rates`` if it is the ``TildeRates`` of ``model`` and ``ode``; a new one if None."""
+    if rates is None:
+        return TildeRates(model, ode, N)
+    if rates.model is not model or rates.ode is not ode:
+        raise ValueError("rates must be the TildeRates of this model and limit solution")
+    return rates
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -263,10 +276,7 @@ def simulate_tilde(model: ModelSpec, xi0: PopulationState, N: int, T: float,
     """
     if ode.blow_up or ode.t_end < T - 1e-12:
         raise ValueError("the limit solution must span [0, T] without blow-up")
-    if rates is None:
-        rates = TildeRates(model, ode, N)
-    elif rates.model is not model or rates.ode is not ode:
-        raise ValueError("rates must be the TildeRates of this model and limit solution")
+    rates = frozen_rates(model, ode, N, rates)
     rng = np.random.default_rng(seed)
     base, inter = model.baseline, model.interaction
     dense0 = xi0.to_dense()

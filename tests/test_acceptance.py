@@ -266,7 +266,7 @@ def test_criterion_13_martingale_balance(model61, sol61_T1, xi0_100):
     checked = sum(r.compensator_bound_checked for r in runs)
     ok = balanced and worst_ratio <= 1.0 + 1e-9 and checked > 0
     report(13, ok, f"mean(V - int a) = {rep.mean[0]:+.4f} (3 SE = {3*rep.std_err[0]:.4f}); "
-                   f"compensator bound ratio <= {worst_ratio:.3f} over {checked} event times")
+                   f"compensator bound ratio <= {worst_ratio:.3f} over {checked} quadrature points")
 
 
 def test_criterion_14_deterministic_csv_bodies(tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from coupling_ref import V, X, X_tilde, compensator_intensity
-from parasitelab import OffspringLaw, luchsinger_nonlinear
+from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
+    luchsinger_nonlinear
 from parasitelab.coupling import (_ROW_MARGIN, CoupledCapExceeded, CouplingState, _intensity,
                                   martingale_balance_check, simulate_coupled)
 from parasitelab.harness import round_initial
@@ -175,6 +176,70 @@ def test_eval_times_stop_at_tau(model61):
     assert run.tau_N is not None and run.tau_N <= 0.5
     assert run.V_at[0] == run.V_at[1]
     assert run.A_at[0] == run.A_at[1]
+
+
+def _pieces(model, xi0, N, T, sol, seed):
+    # the quadrature pieces of a tau-free run: the intervals between real
+    # events, split at the solver nodes, each with the state held on it.
+    # That state is the final state of the same seed's run stopped inside
+    # the interval (the draws up to a horizon do not depend on it), so it
+    # is read independently of the engine's quadrature.
+    run = simulate_coupled(model, xi0, N, T, sol, seed, record_trajectory=True)
+    assert run.tau_N is None and run.n_events > 0
+    bounds = np.concatenate([[0.0], run.times, [T]])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b <= a:
+            continue
+        state = simulate_coupled(model, xi0, N, 0.5 * (a + b), sol, seed).final
+        cuts = np.concatenate([[a], sol.ts[(sol.ts > a) & (sol.ts < b)], [b]])
+        for c, d in zip(cuts[:-1], cuts[1:]):
+            yield state, float(c), float(d)
+
+
+def _simpson(f, a: float, b: float, panels: int) -> float:
+    u = np.linspace(a, b, 2 * panels + 1)
+    w = np.ones(u.size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (b - a) / (6 * panels) * float(np.dot(w, [f(float(s)) for s in u]))
+
+
+COMPENSATOR_CASES = {
+    "kretzschmar_modified": (
+        lambda: kretzschmar_modified(1.5, OffspringLaw.poisson(0.6), 1.0, 0.3, 0.2,
+                                     beta_birth=0.5, birth_discount=0.9, c=1.0),
+        [0.5, 0.3, 0.2], 20, 0.5),
+    "luchsinger_linear": (
+        lambda: luchsinger_linear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)),
+        [0.0, 0.9, 0.1], 20, 0.5),
+    "luchsinger_nonlinear": (
+        lambda: luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)),
+        [0.9, 0.1], 30, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPENSATOR_CASES))
+def test_compensator_integral_matches_independent_reference(name):
+    # A_T against compensator_intensity under each piece's pre-event state:
+    # one Simpson panel per piece is the engine's rule, so it agrees to
+    # rounding; 16 panels per piece bound the quadrature error.  Over
+    # seeds 0-29 of the first two cases the fine gap was at most 6e-4 and
+    # 2.3e-3.  Closing a piece after its event moved z1 changes A_T by
+    # 1e-4 or more on most of these seeds.
+    make, x0, N, T = COMPENSATOR_CASES[name]
+    model = make()
+    xi0 = round_initial(np.array(x0), N)
+    sol = integrate(model, xi0.to_dense() / N, T, J=54)
+    for seed in range(4):
+        A_T = simulate_coupled(model, xi0, N, T, sol, seed, eval_times=[T]).A_at[-1]
+        one_panel = fine = 0.0
+        for state, c, d in _pieces(model, xi0, N, T, sol, seed):
+            def f(t):
+                return compensator_intensity(model, state, t, N, sol)
+            one_panel += _simpson(f, c, d, 1)
+            fine += _simpson(f, c, d, 16)
+        assert A_T == pytest.approx(one_panel, rel=1e-12, abs=1e-12), seed
+        assert abs(A_T - fine) <= 5e-3, (seed, A_T, fine)
 
 
 def test_coupled_event_cap_is_typed(model61, xi0_100, sol61_T1):

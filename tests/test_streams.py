@@ -55,31 +55,31 @@ EXPECTED = {
     "kretzschmar_modified": {
         "ssa/N20": "5e61fcbe762e7637c42b19bd29b881c735caa980506866d1826fec5dbde50527",
         "tilde/N20": "3224b06e430138648406163f085a571e974c812724ed7869aed088b62137c86b",
-        "coupled/N20": "8ea27daa031c37ed2727e2ff431821ef845f22bdadd9f412adee069928379d05",
+        "coupled/N20": "63d088eddbf9fd8d5aac26d703a3c6c74fa786e6704f0323d5d63a423d555d8c",
         "compensator/N20": "893f8da29347e21f3298ab33e5d8d07f29cb81f0135e3db6b3a80e900f0d16bd",
         "ssa/N60": "ade2410dfe8fcfe273c060d33891485bac3e17590d466903b5fba4e9576d8b1a",
         "tilde/N60": "64e90524b62e0e3f883445ef36eea58fcf55163144f0fcc1bfed34437ba6144f",
-        "coupled/N60": "6b3c796578881656476cf7e9f5db562d0d698ef9478df5f39d0c1f3dfa9ed24d",
+        "coupled/N60": "842a25a303dda5d819da375342f6652bc37a897bc6ca978dcc6a27c8aa52fad1",
         "compensator/N60": "6a0ca90d8563b9de59146bd455b56b06044fa96664dd5ff470291f70306f00e5",
     },
     "luchsinger_linear": {
         "ssa/N20": "044d36931b04700d1a4fd66f4695c758b85bd591afef1d097f5cd8b0485f0f5b",
         "tilde/N20": "22fd8cfe07f67ac4a26039d0d01f6b0ad077893bc064ea3c805ac1aa0ce4251b",
-        "coupled/N20": "5cd89565599816f1463dae96f0fdf3819776785c9d99104fa257539080e3a01d",
+        "coupled/N20": "7c4e3fae4bac55262dc7a963dcc141401a0b299f7ed37f9b135f28a011f302a4",
         "compensator/N20": "903dc5e5b729111b8507cf494f6700e235c4e2565291802b6e65ed11ae2d53a6",
         "ssa/N60": "4b6c36fa728924a52e36fbab08c067a2371d2684e0332c5ce4cb938671b66967",
         "tilde/N60": "fcf8a8501a8d2fe179eac833842d62bd4ac8bd157c2822fbf592fba3cf155977",
-        "coupled/N60": "d0854db883edd46a4d52b17c17e9fa9045b100d13e03f6c4259267d0838dbd5d",
+        "coupled/N60": "f900a323e3675de01ca2e6c7c30c0ed6d93a03b81e21c09f3eefdbf2c8b6808f",
         "compensator/N60": "899f4645fab397204a059424f01bac440faccc5eb24d83719f73f7a92146fb1d",
     },
     "luchsinger_nonlinear": {
         "ssa/N20": "f6eab61c7f279545b21bce23586b7fc63496263138ef6cc1d40c2299b32c2739",
         "tilde/N20": "df8cb47b0dd231d6eb6f88e6d2347bee01835952074b0c3dde816db7458f8f28",
-        "coupled/N20": "6ff20e673ab2b94b5363a64bd89ac102d314ab2626ff20ebea067c0f9f233c68",
+        "coupled/N20": "c276c200fc1310cdb2dbe1406adfdd82646b850d86c1970c64dde8f87ad48ea7",
         "compensator/N20": "4d06a5816d470468449ec86eb782144e25919deead9ab6e472ab0eed6cf2cdbe",
         "ssa/N60": "6d290bc704e89cebd658ec4667d9b8b8dcd0aa763a8c4a74d637d68271798ad0",
         "tilde/N60": "90912f37802402e62682e181ee78ed3b252ffb730e60b292229d8e20eceeb156",
-        "coupled/N60": "81724a8db1e4f6f8cb4951de2b6875e28938c4c64b39be52f29c985f8cdf67bd",
+        "coupled/N60": "dfc55e421b7dd15d6c8c046ea54a5b11e64f355502ea72bd66e264bb8033b527",
         "compensator/N60": "dbe7af0febeefae03d3e3631dcdaceb07f5ad2ff78371fdd13830f36ebff407d",
     },
 }
@@ -139,11 +139,11 @@ GROW_TAU_CASES = {
         lambda: kretzschmar_modified(3.0, OffspringLaw.poisson(2.0), 1.0, 0.3, 0.2,
                                      beta_birth=1.0, birth_discount=0.9, c=1.0),
         [0.5, 0.3, 0.2], 2, 1,
-        "1068bb594765ded9fa1c2019fcc1a6fa40dd262f4eed448b5c1a00a8ecb88cb1"),
+        "c6fbcecf09738f44b1c0b112f7d9bdf9892643e41a20ec03575b247a17a7e6fd"),
     "luchsinger_linear": (
         lambda: luchsinger_linear(2.0, 1.0, 0.5, OffspringLaw.poisson(2.0)),
         [0.0, 0.5, 0.5], 3, 2,
-        "b9e05b33a824269a9722ac2382a6dccc97e1ffb42451e9f27fd6214746a7277d"),
+        "1350badb79ad0fd540bf1b28bf1185a065eba5c757e83ccb7f932712e37c7688"),
 }
 
 
@@ -250,7 +250,7 @@ HARNESS_CASES = {
     "couple": (COUPLE_MODEL, [0.5, 0.3, 0.2], [20], 5, harness.coupled_summary),
 }
 EXPECTED_HARNESS = {
-    "certify": "9e4a774221d430bf584d182a0ecc92dbaf710e4864f7dd5810c2ec91d36d62bc",
+    "certify": "72399b8b0f12cd19152d54979032ad6426940a5ea633679bb9a30618a1d62385",
     "converge/1": "cbb0d68e1ad8345ee33358cb4f59aea1c6d10b243c86606a3c1973519d1a77f3",
     "converge/2": "cbb0d68e1ad8345ee33358cb4f59aea1c6d10b243c86606a3c1973519d1a77f3",
     "couple": "ef0f5fafdccbee8d120c47aa2f095b34c7555bfe00e4c1e7d7e6e52bd19f4a0d",
