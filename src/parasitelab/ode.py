@@ -5,9 +5,10 @@ flow (the transposed within-host generator) with the nonlinear
 interaction part: per-target inflow, per-source outflow, immigration
 and excess death, every interaction evaluator seeing the positive part
 of the state.  The solver is an adaptive explicit Runge-Kutta pair with
-a cubic Hermite dense output built from the accepted steps; the running
-sup norms of the trajectory (parasite norm M_T, host norm G_T) feed all
-downstream bound constants.
+a cubic Hermite dense output built from the accepted steps.  Bounds on
+the sup norms of that dense output (parasite norm M_T, host norm G_T),
+taken over each segment's Bezier control points, feed every thinning
+dominator and all downstream bound constants.
 
 ``semigroup_apply`` and ``mild_residual`` provide an independent route
 to the same trajectory (matrix exponential of the baseline plus
@@ -30,9 +31,6 @@ from .rates import BaselineGenerator, ModelSpec
 from .state import l11_norm
 
 DENSE_EXPM_CAP = 400
-# equal subdivisions per segment of the dense-output grid that M_T and G_T
-# are taken over
-GRID_REFINE = 8
 
 
 class BlowUpError(RuntimeError):
@@ -98,9 +96,13 @@ class OdeSolution:
     """Accepted-step trajectory with cubic Hermite dense output.
 
     ``ts``/``ys`` are the accepted nodes and values, ``fs`` the drift at
-    the nodes.  ``M_T`` and ``G_T`` are the largest parasite and host
-    norms over ``grid()``, ``GRID_REFINE`` dense-output points per
-    segment.  When ``blow_up`` is set the grid ends at the crossing time
+    the nodes.  ``M_T`` and ``G_T`` bound the parasite and host norms of
+    the dense output over its whole span: segment k is the cubic Bezier
+    curve with control points ``y_k``, ``y_k + h_k f_k / 3``,
+    ``y_{k+1} - h_k f_{k+1} / 3`` and ``y_{k+1}``, so it lies in their
+    convex hull (Farin, *Curves and Surfaces for CAGD*), and every norm
+    is convex, so its largest value over the control points bounds the
+    segment.  When ``blow_up`` is set the nodes end at the crossing time
     instead of the horizon.
 
     ``density(t)`` evaluates the dense output at one time;
@@ -181,13 +183,6 @@ class OdeSolution:
         out[t >= nodes[-1]] = self.ys[-1]
         return out
 
-    def grid(self) -> np.ndarray:
-        """Node grid with ``GRID_REFINE`` equal subdivisions per segment."""
-        parts = [np.linspace(self.ts[k], self.ts[k + 1], GRID_REFINE + 1)[:-1]
-                 for k in range(self.ts.size - 1)]
-        parts.append(self.ts[-1:])
-        return np.concatenate(parts)
-
     def drift_l1_bound(self) -> float:
         """Max l1 norm of the drift over the accepted nodes."""
         return float(np.max(np.sum(np.abs(self.fs), axis=1)))
@@ -219,8 +214,9 @@ def integrate(model: ModelSpec, x0, T: float, J: Optional[int] = None,
 
     Raises ``BlowUpError`` (carrying the partial solution) if the l11
     norm crosses the cap before T, and ``StiffnessError`` on step-size
-    underflow.  The returned solution records M_T, G_T and a terminal
-    tail-quality flag ((J+1) times the mass above 0.9 J must stay below
+    underflow.  The returned solution records M_T and G_T, the largest
+    parasite and host norms over the Bezier control points of its dense
+    output (bounds on its sup norms), and a terminal tail-quality flag ((J+1) times the mass above 0.9 J must stay below
     1e-8 for the truncation to be considered clean).
     """
     if T < 0:
@@ -264,16 +260,12 @@ def integrate(model: ModelSpec, x0, T: float, J: Optional[int] = None,
     blow_time = float(sol.t_events[0][0]) if blow else None
     fs = np.array([rhs(t, y) for t, y in zip(ts, ys)])
 
-    # sup norms sampled on the refined dense-output grid
-    m_T = 0.0
-    g_T = 0.0
-    out = OdeSolution(model, J, ts, ys, fs, T, 0.0, 0.0, blow, blow_time,
+    # sup norms bounded over each segment's Bezier control points
+    h3 = np.diff(ts)[:, None] / 3.0
+    ctrl = np.abs(np.concatenate([ys, ys[:-1] + h3 * fs[:-1], ys[1:] - h3 * fs[1:]]))
+    out = OdeSolution(model, J, ts, ys, fs, T, float(np.max(ctrl @ weights)),
+                      float(np.max(ctrl.sum(axis=1))), blow, blow_time,
                       blowup_cap, rtol, atol, True)
-    for y in out.density_many(out.grid()):
-        m_T = max(m_T, float(np.dot(weights, np.abs(y))))
-        g_T = max(g_T, float(np.abs(y).sum()))
-    out.M_T = m_T
-    out.G_T = g_T
 
     terminal = ys[-1]
     cut = int(math.floor(0.9 * J))

@@ -238,6 +238,26 @@ def test_cli_certify_exit_code(tmp_path):
     assert cli_main(["certify", "--config", str(cfg_path)]) == 0
 
 
+def test_cli_certify_linear_model_at_its_envelope(tmp_path, capsys):
+    # point-mass offspring has p0 = 0, so the immigration rate of
+    # luchsinger_linear equals its envelope b01 ||x||_1 and every X~ and
+    # coupled immigration candidate is checked against b01(0) G_T.  With
+    # G_T sampled on the dense output instead of bounded, this config
+    # ended in "HARD FAILURE: DominatingRateError: immigration rate 1.04557
+    # exceeds dominator 1.04556" and exit 2.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"name": "luchsinger_linear", "lam": 1.0, "mu": 2.5, "kappa": 0.3,
+                  "offspring": {"family": "point_mass", "value": 1}},
+        "initial": {"density": [0.0, 0.1, 0.0, 0.9]},
+        "sim": {"n_list": [50], "horizon": 0.65, "master_seed": 42},
+        "checks": {"run": ["moment", "mean_identity", "coupling"], "replicas": 200},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert cli_main(["certify", "--config", str(cfg_path)]) != 2
+    assert "HARD FAILURE" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stiffness_aborts_only_that_n(tmp_path, monkeypatch, workers):
     # the integrator fails for N = 40 only; the other N still report

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_X0, empty_interaction, pure_death_model
+from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
+    luchsinger_nonlinear
 from parasitelab.ode import (BlowUpError, TruncationTooLarge, drift, integrate,
                              mild_residual, semigroup_apply)
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
@@ -100,6 +102,49 @@ def test_dense_output_exact_at_nodes(sol61):
 def test_m_t_g_t_ordering(sol61):
     assert sol61.M_T >= sol61.G_T >= 1.0 - 1e-9
     assert sol61.M_T == pytest.approx(1.1)  # attained at t = 0 here
+
+
+def _dense_sup_norms(sol, points: int = 20001) -> tuple[float, float]:
+    ys = np.abs(sol.density_many(np.linspace(sol.ts[0], sol.ts[-1], points)))
+    return float(ys.sum(axis=1).max()), float((ys @ np.arange(1, sol.J + 2)).max())
+
+
+HULL_MODELS = {
+    "luchsinger_nonlinear": (
+        lambda: luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)),
+        [0.9, 0.1], 2.0),
+    "luchsinger_linear": (
+        lambda: luchsinger_linear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8)),
+        [0.0, 0.9, 0.1], 2.0),
+    "kretzschmar_modified": (
+        lambda: kretzschmar_modified(1.5, OffspringLaw.poisson(0.6), 1.0, 0.3, 0.2,
+                                     beta_birth=0.5, birth_discount=0.9, c=1.0),
+        [0.5, 0.3, 0.2], 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_MODELS))
+def test_g_t_m_t_bound_the_dense_output(name):
+    # a coarse tolerance gives long segments with large excursions; the
+    # Bezier hull must hold the dense output everywhere, to rounding
+    make, x0, T = HULL_MODELS[name]
+    sol = integrate(make(), np.array(x0), T, rtol=0.5)
+    g, m = _dense_sup_norms(sol)
+    assert g <= sol.G_T * (1.0 + 1e-12)
+    assert m <= sol.M_T * (1.0 + 1e-12)
+
+
+def test_g_t_holds_where_the_dense_output_overshoots_its_samples():
+    # point-mass offspring, counts {1: 4, 3: 42} of N = 46: the host norm
+    # peaks between the 8 equally spaced dense-output points per segment
+    # that G_T used to be the maximum over, 5.5e-7 above all of them
+    model = luchsinger_linear(1.0, 2.5, 0.3, OffspringLaw.point_mass(1))
+    sol = integrate(model, np.array([0.0, 4.0, 0.0, 42.0]) / 46, 0.65)
+    sampled = np.concatenate([np.linspace(sol.ts[k], sol.ts[k + 1], 9)[:-1]
+                              for k in range(sol.ts.size - 1)] + [sol.ts[-1:]])
+    g_sampled = float(np.abs(sol.density_many(sampled)).sum(axis=1).max())
+    g_dense, _ = _dense_sup_norms(sol)
+    assert g_sampled < g_dense <= sol.G_T
 
 
 def test_blow_up_detection():

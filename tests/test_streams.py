@@ -75,11 +75,11 @@ EXPECTED = {
     "luchsinger_nonlinear": {
         "ssa/N20": "f6eab61c7f279545b21bce23586b7fc63496263138ef6cc1d40c2299b32c2739",
         "tilde/N20": "df8cb47b0dd231d6eb6f88e6d2347bee01835952074b0c3dde816db7458f8f28",
-        "coupled/N20": "c276c200fc1310cdb2dbe1406adfdd82646b850d86c1970c64dde8f87ad48ea7",
+        "coupled/N20": "9a68de216e0f1f2f10b7e9a46e52c179d36aebd15684a604794ea0a78a39077c",
         "compensator/N20": "4d06a5816d470468449ec86eb782144e25919deead9ab6e472ab0eed6cf2cdbe",
         "ssa/N60": "6d290bc704e89cebd658ec4667d9b8b8dcd0aa763a8c4a74d637d68271798ad0",
-        "tilde/N60": "90912f37802402e62682e181ee78ed3b252ffb730e60b292229d8e20eceeb156",
-        "coupled/N60": "dfc55e421b7dd15d6c8c046ea54a5b11e64f355502ea72bd66e264bb8033b527",
+        "tilde/N60": "cc560ad473a1b6c47f02c9a4ebd96c87def3342458883348b9cdd94c02e77780",
+        "coupled/N60": "92f72ceeac6be75829576f6ef1da7a34c27b49301ca65e86c841ac1e723c2503",
         "compensator/N60": "dbe7af0febeefae03d3e3631dcdaceb07f5ad2ff78371fdd13830f36ebff407d",
     },
 }
@@ -194,9 +194,9 @@ EXPECTED_CHECKS = {
         "concentration": "f0c2d02b56f5dae655bf3041443c891f8c90d70ef1bf11fa5a0adbf164db6ec3",
     },
     "luchsinger_linear/grow": {
-        "moment": "5e3bd93361d3b6ff64e41774cf7f0ce4999e66599470441d6f37cca840b5d610",
+        "moment": "a8ac0dd4042af5639dbb35b60bff90c038a66d12517899bcedebdf67c6331725",
         "mean_identity": "c96c8b1c84cd6f7be7e728c451ca0af973ba921ddd064224a17e293adbbdd1f8",
-        "concentration": "ee78d0ceab38f1559ecb8e405067ad81dbadbb60823a42a69d81366a01368496",
+        "concentration": "160a18e00438bf74d206c6be4c5523ce45cff99f922f58c9b7a0020b0cca6a5d",
     },
     "luchsinger_nonlinear": {
         "moment": "f0190e49eb5a327a4cc0d5e2492f62e0add2c35b1b073c6ed6ebfddf9268611e",
