@@ -15,7 +15,7 @@ from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
     ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
-from parasitelab.tilde import DominatingRateError
+from parasitelab.tilde import DominatingRateError, TildeRates
 
 
 def constant_alpha_model(c: float = 0.5) -> ModelSpec:
@@ -224,8 +224,10 @@ def test_compensator_integral_matches_independent_reference(name):
     # one Simpson panel per piece is the engine's rule, so it agrees to
     # rounding; 16 panels per piece bound the quadrature error.  Over
     # seeds 0-29 of the first two cases the fine gap was at most 6e-4 and
-    # 2.3e-3.  Closing a piece after its event moved z1 changes A_T by
-    # 1e-4 or more on most of these seeds.
+    # 2.3e-3.  A piece closed after its event has changed z1 breaks the
+    # one-panel agreement on the kretzschmar_modified and
+    # luchsinger_nonlinear cases (the luchsinger_linear intensity reads
+    # only X); closed after X is refreshed too, it breaks all three.
     make, x0, N, T = COMPENSATOR_CASES[name]
     model = make()
     xi0 = round_initial(np.array(x0), N)
@@ -240,6 +242,22 @@ def test_compensator_integral_matches_independent_reference(name):
             fine += _simpson(f, c, d, 16)
         assert A_T == pytest.approx(one_panel, rel=1e-12, abs=1e-12), seed
         assert abs(A_T - fine) <= 5e-3, (seed, A_T, fine)
+
+
+def test_shared_rates_change_no_path(model61, model62, xi0_100, sol61_T1, sol61):
+    # one TildeRates across replicas gives each run's own-rates outcome;
+    # the rates of another model or limit solution are refused
+    shared = TildeRates(model61, sol61_T1, 100)
+    for seed in range(5):
+        own = simulate_coupled(model61, xi0_100, 100, 1.0, sol61_T1, seed,
+                               eval_times=[1.0], record_trajectory=True)
+        run = simulate_coupled(model61, xi0_100, 100, 1.0, sol61_T1, seed,
+                               eval_times=[1.0], record_trajectory=True, rates=shared)
+        for f in dataclasses.fields(run):
+            assert np.array_equal(getattr(run, f.name), getattr(own, f.name)), f.name
+    for foreign in (TildeRates(model62, sol61_T1, 100), TildeRates(model61, sol61, 100)):
+        with pytest.raises(ValueError):
+            simulate_coupled(model61, xi0_100, 100, 1.0, sol61_T1, 0, rates=foreign)
 
 
 def test_coupled_event_cap_is_typed(model61, xi0_100, sol61_T1):
