@@ -1,13 +1,13 @@
 """Pinned random streams of every engine, as SHA-256 digests.
 
 Each digest hashes the complete fixed-seed output of one engine on one
-example model at one N, over several seeds: the ``PathRecord`` arrays of
-``simulate`` and ``simulate_tilde``; the evaluation-time values, tau,
-sup errors, event and ghost counts, the recorded V trajectory and the
-final four-component state of ``simulate_coupled``; and
+example model, or on one variant with excess death, at one N, over
+several seeds: the ``PathRecord`` arrays of ``simulate`` and
+``simulate_tilde``; the evaluation-time values, tau, sup errors, event
+and ghost counts, the recorded V trajectory and the final
+four-component state of ``simulate_coupled``; and
 ``compensator_intensity`` (``tests/coupling_ref.py``) at the initial and
-final coupled states.  A
-second coupled case also hashes the compensator bound ratio on runs that
+final coupled states.  A second coupled case also hashes the compensator bound ratio on runs that
 grow their load arrays and reach tau before the horizon.  The last
 group hashes the CSV bodies that ``certify``, ``converge`` and
 ``couple`` write.  A refactor that claims to change no output must
@@ -28,6 +28,7 @@ from parasitelab import (OffspringLaw, harness, kretzschmar_modified,
 from parasitelab.coupling import CouplingState, simulate_coupled
 from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
+from parasitelab.rates import ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
 from parasitelab.tilde import (concentration_check, mean_identity_check, moment_bound_check,
@@ -37,6 +38,20 @@ T = 1.0
 N_LIST = (20, 60)
 SEEDS = (0, 1, 2)
 EVAL_TIMES = (0.25, 0.5, 1.0)
+
+
+def excess_death_model(c: float) -> ModelSpec:
+    # luchsinger_nonlinear with excess death c * sum_{l>=1} x_l: the only
+    # case here with coupled death channels.  At c = 5 every death outcome
+    # (matched, X-side and X~-side surplus, ghost) and the death of a
+    # decoupled X~ individual occur on the seeds below; at c = 0.8 the
+    # latter never did.
+    model = luchsinger_nonlinear(1.0, 1.0, 1.0, OffspringLaw.poisson(0.8))
+    inter = model.interaction
+    return ModelSpec(model.name, model.baseline, dataclasses.replace(
+        inter, delta=lambda i, x: c * float(x[1:].sum()), delta_zero=False,
+        envelopes=dataclasses.replace(inter.envelopes, d1=lambda z: c)))
+
 
 MODELS = {
     "luchsinger_nonlinear": (
@@ -49,9 +64,35 @@ MODELS = {
         lambda: kretzschmar_modified(1.5, OffspringLaw.poisson(0.6), 1.0, 0.3, 0.2,
                                      beta_birth=0.5, birth_discount=0.9, c=1.0),
         [0.5, 0.3, 0.2]),
+    "excess_death": (lambda: excess_death_model(5.0), [0.9, 0.1]),
+    # infection strong enough that decoupled X-side hosts are infected
+    "kretzschmar_strong": (
+        lambda: kretzschmar_modified(3.0, OffspringLaw.poisson(1.0), 1.0, 0.3, 0.2,
+                                     beta_birth=0.5, birth_discount=0.9, c=1.0),
+        [0.5, 0.3, 0.2]),
 }
 
 EXPECTED = {
+    "kretzschmar_strong": {
+        "ssa/N20": "30b801b32bb15a9aeca0b21e5a9b220930767c2e7ea833d82dcc6e27f600b3f7",
+        "tilde/N20": "6874654bfbd6c65aefe9975ed7bcc37719e2013c491e1d3293074cdee94aa3ed",
+        "coupled/N20": "1dcc670cd6536dbbb169ab17beb74be725e19ade84d916f497072232df9aaf30",
+        "compensator/N20": "ec75411ea772f04d3e65f9b4fd1c9283fde2aafb500f9ea6affa51801aa4f322",
+        "ssa/N60": "20be9678ad17f9465420fd95a49d0d6949175227ee57f1eb6772ad371ec272c5",
+        "tilde/N60": "1ff22966ca7d7564f6659c715d36879a70a32cd6d14b6da80ef564f34fcb4344",
+        "coupled/N60": "31892f9622aa4321f12451f5ebccc0d6222fe44aa73334bfd229f3fc0b678452",
+        "compensator/N60": "9ed1e56d542026d3a25be9ec6fbc7cf36fd4e73565d91c93ffa3d25546d19937",
+    },
+    "excess_death": {
+        "ssa/N20": "03c471904c05b4c5a5da9cc5aa72edcbd0c724dcb6bc62baf79b2231c6717f9c",
+        "tilde/N20": "0732536f752ddf45b48f913353481a7b461b83cd178f2a6850deae635c2e2b9a",
+        "coupled/N20": "4f79b7dd3a08ed9e4b9c4378572bac89b8071cc4f0286a0a5083adc1294749b3",
+        "compensator/N20": "1727b70d69f931eb463b8fa1d53d28e477a8b501a4f8789e7e09a5c0c86e9220",
+        "ssa/N60": "290a76117469a7f2608713bfb239f6da80505219ced7b582efc9b5f38197252f",
+        "tilde/N60": "5cec5ba92b9ea47c499a8ab3a8b2f5d9f1e27cb441f2fd0c387d8f7d01fbd78e",
+        "coupled/N60": "c82c2e74deaaf5ba5f178d1ecb237f89f334b58e968ebb344044f9124d7d5466",
+        "compensator/N60": "9ebe343d28d9bc43c68900ceb79316ed51e014c22eee95e2f8325266f198c137",
+    },
     "kretzschmar_modified": {
         "ssa/N20": "5e61fcbe762e7637c42b19bd29b881c735caa980506866d1826fec5dbde50527",
         "tilde/N20": "3224b06e430138648406163f085a571e974c812724ed7869aed088b62137c86b",
@@ -178,6 +219,16 @@ CHECK_CASES.update({f"{name}/grow": (make, x0, J)
                     for name, (make, x0, J, _, _) in GROW_TAU_CASES.items()})
 
 EXPECTED_CHECKS = {
+    "kretzschmar_strong": {
+        "moment": "4cec65fd7568c4a07c24145e5e4631d2c82c53343dcac6099f7deec9c9c67c76",
+        "mean_identity": "ab26b6d1608797fe93d76d27eb73d00a6643b0b492be0b5bfd16257329b57d30",
+        "concentration": "3e7fa2390ed58077b8c2036be25bdfa38efef22b66b5b946c8e75859aae8245f",
+    },
+    "excess_death": {
+        "moment": "27d9aa617938e6089788f4b307283cb8d77c39fc346ecdbe3e759b0713921c4b",
+        "mean_identity": "f3405348fb82b53f792c1bcc08260dace71299c8767e27ef9465f3ded8a898eb",
+        "concentration": "a1d731e858694c0b22f64fc45ef4c2fa53579950f8a294e3c4a86d58a5bf6f12",
+    },
     "kretzschmar_modified": {
         "moment": "0df9a9bb30d9c97626e841c20cd149d258697e528d62b9b5663bd6011c525da9",
         "mean_identity": "cfc9f0e2369727dcece34eea566e56c3b520915812c6c818600da94794122124",
