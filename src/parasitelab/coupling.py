@@ -7,24 +7,24 @@ pairs, Z2/Z3 the decoupled X-side and X~-side individuals (only their
 counts matter, never their pairing), and Z4 counts unmatched
 immigrants, dead X~-partners and X~-side deaths of coupled pairs.
 
-Matched transitions fire at the pointwise minimum of the two interaction
-rates; this is realized exactly without summing over the (possibly
-unbounded) target support by proposing from each side's own rate and
-target law, then branching on the pointwise rates at the realized
-target only: a proposal from the X side with target l is accepted as a
-matched move with probability min(a, b)/a, where a and b are the two
-pointwise rates at l, and otherwise becomes an X-side surplus; the
-analogous X~-side proposal yields the X~-side surplus or a ghost.  The
-trajectory-frozen side is additionally thinned through
+Every interaction move, immigration and excess death of a coupled pair
+is the basic coupling of two jump rates (Lindvall 1992), realized in one
+routine, ``_pair_outcome``, without summing over the (possibly
+unbounded) target support: each side proposes from its own rate and
+target law, and only the two pointwise rates a (X) and b (X~) at the
+realized target are read.  An X-side proposal is matched with
+probability min(a, b)/a and otherwise an X-side surplus; an X~-side
+proposal is an X~-side surplus with probability (b - a)+/b and
+otherwise a ghost.  The X~ side is additionally thinned through
 ``TildeRates.accepts``, the squeeze that also decides the candidates of
 ``simulate_tilde``, so both engines share one thinning policy.  Every
-surplus decouples one pair and increments the decoupling counter
-V = Z4 + sum(Z3), whose compensator intensity is the total pointwise
-rate mismatch between the two processes.
+surplus decouples one pair and increments the decoupling counter V,
+whose compensator intensity is the total pointwise rate mismatch
+between the two processes.
 
-Two structural inequalities are asserted after every event and are hard
-errors, never report items: sum(Z2) <= Z4 + sum(Z3), and
-||X - X~||_1 <= sum(Z2 + Z3) <= 2 V.
+Three structural relations are asserted after every event and are hard
+errors, never report items: V = Z4 + sum(Z3), sum(Z2) <= Z4 + sum(Z3),
+and ||X - X~||_1 <= sum(Z2 + Z3) <= 2 V.
 
 The compensator integral A is taken by one Simpson panel per piece of a
 grid that ghosts do not set: a piece ends only at a real event (it is
@@ -152,8 +152,68 @@ _Z1_XDELTA, _Z1_YDELTA, _Z3_DELTA = 10, 11, 12
 # the trajectory-frozen channels, each with the ``TildeRates`` channel it thins as
 _FROZEN = {_Z1_YALPHA: MOVE, _Z3_ALPHA: MOVE, _YBETA: IMMIGRATION,
            _Z1_YDELTA: DEATH, _Z3_DELTA: DEATH}
-# the frozen-side surplus proposals, which a matched target turns into ghosts
-_MAY_GHOST = (_Z1_YALPHA, _YBETA, _Z1_YDELTA)
+# the paired channels: (kind, proposed by the X~ side)
+_PAIRED = {_Z1_XALPHA: (MOVE, False), _Z1_YALPHA: (MOVE, True),
+           _XBETA: (IMMIGRATION, False), _YBETA: (IMMIGRATION, True),
+           _Z1_XDELTA: (DEATH, False), _Z1_YDELTA: (DEATH, True)}
+# the unpaired channels: (component 0, 1 or 2 for Z1, Z2 or Z3, kind), where
+# kind None is a baseline exit and MOVE draws from the component's own side
+_UNPAIRED = {_Z1_BASE: (0, None), _Z2_BASE: (1, None), _Z3_BASE: (2, None),
+             _Z3_BDEATH: (2, DEATH), _Z2_ALPHA: (1, MOVE), _Z3_ALPHA: (2, MOVE),
+             _Z3_DELTA: (2, DEATH)}
+
+
+def _pair_outcome(inter, kind: int, from_y: bool, i: int, x: np.ndarray, y: np.ndarray,
+                  dx_i: float, rng: np.random.Generator):
+    """One proposal of a paired channel: the basic coupling of two jump rates.
+
+    The target is drawn from the proposing side's law (x, or y when
+    ``from_y``): ``alpha_sample`` for a ``MOVE`` of load i,
+    ``beta_sample`` for an ``IMMIGRATION``; a ``DEATH`` has none.  a and
+    b are the X-side and X~-side pointwise rates at that target (for a
+    death, ``dx_i`` and the excess death at y).  One uniform u decides:
+    an X-side proposal is matched if u a < min(a, b), else an X-side
+    surplus; an X~-side proposal is an X~-side surplus if u b < (b - a)+,
+    else a ghost.  Returns ``(target, "matched" | "surplus" | None)``,
+    None being the ghost.
+    """
+    if kind == MOVE:
+        l = int(inter.alpha_sample(i, y if from_y else x, rng))
+        a, b = inter.alpha_pointwise_at(i, l, x), inter.alpha_pointwise_at(i, l, y)
+    elif kind == IMMIGRATION:
+        l = int(inter.beta_sample(y if from_y else x, rng))
+        a, b = inter.beta_pointwise_at(l, x), inter.beta_pointwise_at(l, y)
+    else:
+        l, a, b = None, dx_i, inter.delta_at(i, y)
+    matched, sx, sy = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
+    if abs(matched + sx + sy - max(a, b)) > 1e-9 * (1.0 + a + b) \
+            or min(matched, sx, sy) < 0:
+        raise CouplingInvariantError("min/surplus decomposition broke")
+    if (b if from_y else a) <= 0.0:
+        raise CouplingInvariantError("proposed target with zero pointwise rate")
+    if from_y:
+        return l, ("surplus" if rng.random() * b < sy else None)
+    return l, ("matched" if rng.random() * a < matched else "surplus")
+
+
+def _unpaired_target(code: int, base, inter, i: int, x: np.ndarray, y: np.ndarray,
+                     dx_i: float, rng: np.random.Generator) -> Optional[int]:
+    """Target load of the individual at load i that an unpaired channel moves.
+
+    None is a death.  A baseline exit splits one scaled uniform over the
+    moves and the component's death rate: dbar for Z1, dbar plus the
+    excess death ``dx_i`` for Z2, none for Z3, whose baseline death is a
+    channel of its own.
+    """
+    comp, kind = _UNPAIRED[code]
+    if kind == DEATH:
+        return None
+    if kind == MOVE:
+        return int(inter.alpha_sample(i, y if comp == 2 else x, rng))
+    dbar_i = 0.0 if comp == 2 else base.dbar(i)
+    extra = dx_i if comp == 1 else 0.0
+    return base.sample_exit(i, rng.random() * (base.alpha_star(i) + dbar_i + extra),
+                            dbar_i + extra)
 
 
 def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
@@ -166,8 +226,12 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
 
     Draw order per candidate event: the exponential waiting time, one
     channel-selection uniform, an acceptance uniform for the
-    trajectory-frozen channels, the model's target draw, then one branch
-    uniform deciding matched versus surplus.  The acceptance uniform,
+    trajectory-frozen channels, then either a paired channel's target
+    draw and branch uniform (``_pair_outcome``) or an unpaired channel's
+    baseline-exit uniform or target draw (``_unpaired_target``).  A
+    matched pair or an unpaired individual then moves within its
+    component; a surplus splits the pair into Z2 and Z3, and Z4 counts
+    it when no X~ individual lands in Z3.  The acceptance uniform,
     scaled by the channel's global dominator, is decided by
     ``TildeRates.accepts``; its squeeze rejects most ghosts without
     evaluating the frozen rate and makes the decision of plain thinning
@@ -282,18 +346,11 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         rates = np.array(rates)
         return codes, loads, float(rates.sum()), np.cumsum(rates)
 
-    def branch_rates(a: float, b: float) -> tuple[float, float, float]:
-        matched = min(a, b)
-        sx = max(a - b, 0.0)
-        sy = max(b - a, 0.0)
-        if abs(matched + sx + sy - max(a, b)) > 1e-9 * (1.0 + a + b) \
-                or min(matched, sx, sy) < 0:
-            raise CouplingInvariantError("min/surplus decomposition broke")
-        return matched, sx, sy
-
     def assert_invariants():
         s2 = int(z2.sum())
         s3 = int(z3.sum())
+        if V != z4 + s3:
+            raise CouplingInvariantError(f"V = {V} is not Z4 + sum Z3 = {z4 + s3}")
         if s2 > z4 + s3:
             raise CouplingInvariantError(
                 f"sum Z2 = {s2} exceeds Z4 + sum Z3 = {z4 + s3}")
@@ -420,10 +477,6 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
         code = codes[pick]
         i = loads[pick]
 
-        ghost = False
-        x_changed = False
-        tilde_changed = False
-
         channel = _FROZEN.get(code)
         if channel is not None:
             v = rng.random() * frozen.dominator(channel, i)
@@ -433,152 +486,47 @@ def simulate_coupled(model: ModelSpec, xi0: PopulationState, N: int, T: float,
                 n_ghosts += 1
                 continue
 
-        # the piece ends under the pre-event state, before any change to it
-        if code not in _MAY_GHOST:
-            close_piece(t)
-        if code == _Z1_BASE:
-            dbar_i = base.dbar(i)
-            chosen = base.sample_exit(i, rng.random() * (base.alpha_star(i) + dbar_i), dbar_i)
-            z1[i] -= 1
-            if chosen is not None:      # otherwise a matched death
-                grow(chosen + 1)
-                z1[chosen] += 1
-            x_changed = tilde_changed = True
-        elif code == _Z2_BASE:
-            # the X-side death rate includes the excess death d_x
-            dbar_i = base.dbar(i)
-            u2 = rng.random() * (base.alpha_star(i) + dbar_i + d_x[i])
-            chosen = base.sample_exit(i, u2, dbar_i + d_x[i])
-            z2[i] -= 1
-            if chosen is not None:
-                grow(chosen + 1)
-                z2[chosen] += 1
-            x_changed = True
-        elif code == _Z3_BASE:
-            chosen = base.sample_exit(i, rng.random() * base.alpha_star(i), 0.0)
-            z3[i] -= 1
-            grow(chosen + 1)
-            z3[chosen] += 1
-            tilde_changed = True
-        elif code == _Z3_BDEATH:
-            z3[i] -= 1
-            z4 += 1
-            tilde_changed = True
-        elif code == _Z1_XALPHA:
-            y = y_at(t)
-            l = int(inter.alpha_sample(i, x, rng))
-            a = inter.alpha_pointwise_at(i, l, x)
-            b = inter.alpha_pointwise_at(i, l, y)
-            matched, sx, _ = branch_rates(a, b)
-            if a <= 0.0:
-                raise CouplingInvariantError("sampled target with zero pointwise rate")
-            if rng.random() * a < matched:
-                grow(l + 1)
-                z1[i] -= 1
-                z1[l] += 1
-                x_changed = tilde_changed = True
-            else:
-                grow(l + 1)
-                z1[i] -= 1
-                z2[l] += 1
-                z3[i] += 1
-                V += 1
-                x_changed = tilde_changed = True
-        elif code == _Z1_YALPHA:
-            y = y_at(t)
-            l = int(inter.alpha_sample(i, y, rng))
-            a = inter.alpha_pointwise_at(i, l, x)
-            b = inter.alpha_pointwise_at(i, l, y)
-            _, _, sy = branch_rates(a, b)
-            if b <= 0.0:
-                raise CouplingInvariantError("sampled target with zero pointwise rate")
-            if rng.random() * b < sy:
-                close_piece(t)
-                grow(l + 1)
-                z1[i] -= 1
-                z2[i] += 1
-                z3[l] += 1
-                V += 1
-                x_changed = tilde_changed = True
-            else:
-                ghost = True
-        elif code == _Z2_ALPHA:
-            l = int(inter.alpha_sample(i, x, rng))
-            grow(l + 1)
-            z2[i] -= 1
-            z2[l] += 1
-            x_changed = True
-        elif code == _Z3_ALPHA:
-            l = int(inter.alpha_sample(i, y_at(t), rng))
-            grow(l + 1)
-            z3[i] -= 1
-            z3[l] += 1
-            tilde_changed = True
-        elif code == _XBETA:
-            arr = int(inter.beta_sample(x, rng))
-            y = y_at(t)
-            bx_i = inter.beta_pointwise_at(arr, x)
-            by_i = inter.beta_pointwise_at(arr, y)
-            matched, sx, _ = branch_rates(bx_i, by_i)
-            if bx_i <= 0.0:
-                raise CouplingInvariantError("sampled immigrant with zero pointwise rate")
-            grow(arr + 1)
-            if rng.random() * bx_i < matched:
-                z1[arr] += 1
-                x_changed = tilde_changed = True
-            else:
-                z2[arr] += 1
-                z4 += 1
-                V += 1
-                x_changed = True
-        elif code == _YBETA:
-            y = y_at(t)
-            arr = int(inter.beta_sample(y, rng))
-            bx_i = inter.beta_pointwise_at(arr, x)
-            by_i = inter.beta_pointwise_at(arr, y)
-            _, _, sy = branch_rates(bx_i, by_i)
-            if by_i <= 0.0:
-                raise CouplingInvariantError("sampled immigrant with zero pointwise rate")
-            if rng.random() * by_i < sy:
-                close_piece(t)
-                grow(arr + 1)
-                z3[arr] += 1
-                V += 1
-                tilde_changed = True
-            else:
-                ghost = True
-        elif code == _Z1_XDELTA:
-            dxi = d_x[i]
-            dyi = inter.delta_at(i, y_at(t))
-            matched, sx, _ = branch_rates(dxi, dyi)
-            if rng.random() * dxi < matched:
-                z1[i] -= 1
-                x_changed = tilde_changed = True
-            else:
-                z1[i] -= 1
-                z3[i] += 1
-                V += 1
-                x_changed = tilde_changed = True
-        elif code == _Z1_YDELTA:
-            dyi = inter.delta_at(i, y_at(t))
-            _, _, sy = branch_rates(d_x[i], dyi)
-            if rng.random() * dyi < sy:
-                close_piece(t)
-                z1[i] -= 1
-                z2[i] += 1
-                z4 += 1
-                V += 1
-                x_changed = tilde_changed = True
-            else:
-                ghost = True
-        elif code == _Z3_DELTA:
-            z3[i] -= 1
-            z4 += 1
-            tilde_changed = True
+        kind, from_y = _PAIRED.get(code, (None, False))
+        if kind is None:
+            comp, outcome = _UNPAIRED[code][0], None
+            l = _unpaired_target(code, base, inter, i, x, y_at(t), d_x[i], rng)
+        else:
+            comp = 0
+            l, outcome = _pair_outcome(inter, kind, from_y, i, x, y_at(t), d_x[i], rng)
+            if outcome is None:
+                n_ghosts += 1
+                continue
+        src = None if kind == IMMIGRATION else i
 
-        if ghost:
-            n_ghosts += 1
-            continue
+        # the piece ends under the pre-event state, before any change to it;
+        # grow rebinds z1-z3, so they are read after it
+        close_piece(t)
+        if l is not None:
+            grow(l + 1)
+        if outcome == "surplus":
+            # the pair splits: the proposing side's individual goes to l and
+            # the other side's stays at src, X ones into Z2, X~ ones into Z3
+            V += 1
+            to_x, to_y = (src, l) if from_y else (l, src)
+            moves = ((0, src, None), (1, None, to_x), (2, None, to_y))
+            if to_y is None:
+                z4 += 1
+        else:
+            # a matched pair, or an unpaired individual, moves from src to l
+            moves = ((comp, src, l),)
+            if comp == 2 and l is None:
+                z4 += 1
+        zs = (z1, z2, z3)
+        x_changed = tilde_changed = False
+        for c, frm, to in moves:
+            if frm is None and to is None:
+                continue
+            if frm is not None:
+                zs[c][frm] -= 1
+            if to is not None:
+                zs[c][to] += 1
+            x_changed = x_changed or c != 2
+            tilde_changed = tilde_changed or c != 1
 
         n_events += 1
         forget()

@@ -5,12 +5,13 @@ independent-sum process and the decoupling counter off a
 ``CouplingState``.  ``compensator_intensity`` is an unmemoized loop over
 the coupled loads, written apart from the engine's memoized
 ``coupling._intensity``; it sums in the same order, so the two agree bit
-for bit on the same densities.
+for bit on the same densities and truncation.  Its truncation margin is
+an argument of every call, apart from the engine's.
 """
 
 import numpy as np
 
-from parasitelab.coupling import _ROW_MARGIN, CouplingState
+from parasitelab.coupling import CouplingState
 from parasitelab.ode import OdeSolution
 from parasitelab.rates import ModelSpec
 from parasitelab.state import PopulationState
@@ -31,7 +32,7 @@ def V(state: CouplingState) -> int:
 
 
 def compensator_intensity(model: ModelSpec, state: CouplingState, t: float,
-                          N: int, ode: OdeSolution, L_margin: int = _ROW_MARGIN) -> float:
+                          N: int, ode: OdeSolution, L_margin: int) -> float:
     """Intensity of the decoupling counter's compensator at (state, t).
 
     Sum over coupled loads of the pointwise interaction-move and

@@ -8,14 +8,14 @@ from coupling_ref import V, X, X_tilde, compensator_intensity
 from parasitelab import OffspringLaw, kretzschmar_modified, luchsinger_linear, \
     luchsinger_nonlinear
 from parasitelab.coupling import (_ROW_MARGIN, CoupledCapExceeded, CouplingState, _intensity,
-                                  martingale_balance_check, simulate_coupled)
+                                  _pair_outcome, martingale_balance_check, simulate_coupled)
 from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.rates import BaselineGenerator, Envelopes, InteractionSpec, \
     ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
-from parasitelab.tilde import DominatingRateError, TildeRates
+from parasitelab.tilde import DEATH, IMMIGRATION, MOVE, DominatingRateError, TildeRates
 
 
 def constant_alpha_model(c: float = 0.5) -> ModelSpec:
@@ -78,7 +78,7 @@ def test_compensator_zero_when_matched(model61):
     sol = integrate(model61, np.array([1.0]), 1.0, J=10)
     s = CouplingState(PopulationState.from_dict({0: 50}),
                       PopulationState.empty(), PopulationState.empty(), 0)
-    assert compensator_intensity(model61, s, 0.5, 50, sol) == pytest.approx(0.0)
+    assert compensator_intensity(model61, s, 0.5, 50, sol, 40) == pytest.approx(0.0)
 
 
 def test_compensator_constant_rates_zero():
@@ -86,7 +86,7 @@ def test_compensator_constant_rates_zero():
     sol = integrate(m, np.array([0.6, 0.4]), 1.0, J=20)
     s = CouplingState(PopulationState.from_dict({0: 3, 2: 2}),
                       PopulationState.empty(), PopulationState.empty(), 0)
-    assert compensator_intensity(m, s, 0.3, 5, sol) == pytest.approx(0.0, abs=1e-12)
+    assert compensator_intensity(m, s, 0.3, 5, sol, 40) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_compensator_matches_rate_mismatch(model61, sol61_T1):
@@ -101,8 +101,61 @@ def test_compensator_matches_rate_mismatch(model61, sol61_T1):
     row_x = model61.interaction.alpha_row_at(0, x, 200)
     row_y = model61.interaction.alpha_row_at(0, y, 200)
     expected = 80 * float(np.abs(row_x - row_y).sum())
-    val = compensator_intensity(model61, s, t, 100, sol61_T1)
+    val = compensator_intensity(model61, s, t, 100, sol61_T1, 200 - sol61_T1.J)
     assert val == pytest.approx(expected, rel=1e-6)
+
+
+class _StubRates:
+    # pointwise rates A[l] at the density X_SIDE and B[l] at Y_SIDE, and
+    # targets uniform on 0..2; a death at load l has rates A[l] and B[l]
+    A, B = (1.0, 3.0, 2.0), (2.5, 1.0, 2.0)
+
+    def _at(self, l, z):
+        return (self.A, self.B)[int(z[0])][l]
+
+    def alpha_sample(self, i, z, rng):
+        return int(rng.integers(3))
+
+    def beta_sample(self, z, rng):
+        return int(rng.integers(3))
+
+    def alpha_pointwise_at(self, i, l, z):
+        return self._at(l, z)
+
+    def beta_pointwise_at(self, l, z):
+        return self._at(l, z)
+
+    def delta_at(self, i, z):
+        return self._at(i, z)
+
+
+def test_pair_outcome_law():
+    # at a target with rates a (X side) and b (X~ side), an X-side proposal
+    # is matched with frequency min(a, b)/a, else a surplus, and an X~-side
+    # proposal is a surplus with frequency (b - a)+/b, else a ghost.  The
+    # stub's frequencies are 1/3 and 0.6 at one target and 0 or 1 at the
+    # others, which must then hold exactly.  Six comparisons at 4 SE: a
+    # false alarm once in about 2,600 seeds under the normal approximation
+    # (the seed is fixed)
+    stub, rng = _StubRates(), np.random.default_rng(2024)
+    x_side, y_side = np.zeros(1), np.ones(1)
+    for kind in (MOVE, IMMIGRATION, DEATH):
+        for from_y, (hit, miss) in ((False, ("matched", "surplus")), (True, ("surplus", None))):
+            trials, hits = np.zeros(3), np.zeros(3)
+            for n in range(3000):
+                i = n % 3
+                l, outcome = _pair_outcome(stub, kind, from_y, i, x_side, y_side,
+                                           stub.A[i], rng)
+                assert outcome in (hit, miss)
+                if kind == DEATH:
+                    assert l is None
+                    l = i
+                trials[l] += 1
+                hits[l] += outcome == hit
+            a, b = np.array(stub.A), np.array(stub.B)
+            p = np.maximum(b - a, 0.0) / b if from_y else np.minimum(a, b) / a
+            se = np.sqrt(p * (1 - p) / trials)
+            assert np.all(np.abs(hits / trials - p) <= 4 * se), (kind, from_y, hits, trials)
 
 
 def test_marginal_means_match_plain_ssa(model61, xi0_100, sol61_T1):
@@ -237,7 +290,7 @@ def test_compensator_integral_matches_independent_reference(name):
         one_panel = fine = 0.0
         for state, c, d in _pieces(model, xi0, N, T, sol, seed):
             def f(t):
-                return compensator_intensity(model, state, t, N, sol)
+                return compensator_intensity(model, state, t, N, sol, _ROW_MARGIN)
             one_panel += _simpson(f, c, d, 1)
             fine += _simpson(f, c, d, 16)
         assert A_T == pytest.approx(one_panel, rel=1e-12, abs=1e-12), seed
@@ -288,7 +341,8 @@ def test_memoized_intensity_matches_reference(model62):
         y[: sol.J + 1] = sol.density(t)
         memo = _intensity(model62, state.Z1.to_dense(width), x, y, N, width - 1 + _ROW_MARGIN,
                           rows)
-        assert memo > 0.0 and memo == compensator_intensity(model62, state, t, N, sol)
+        assert memo > 0.0 and memo == compensator_intensity(model62, state, t, N, sol,
+                                                            _ROW_MARGIN)
     assert rows
 
 

@@ -1,8 +1,7 @@
 """Pinned random streams of every engine, as SHA-256 digests.
 
 Each digest hashes the complete fixed-seed output of one engine on one
-example model, or on one variant with excess death, at one N, over
-several seeds: the ``PathRecord`` arrays of ``simulate`` and
+example model, or on a variant of one, at one N, over several seeds: the ``PathRecord`` arrays of ``simulate`` and
 ``simulate_tilde``; the evaluation-time values, tau, sup errors, event
 and ghost counts, the recorded V trajectory and the final
 four-component state of ``simulate_coupled``; and
@@ -22,17 +21,18 @@ import math
 import numpy as np
 import pytest
 
-from coupling_ref import compensator_intensity
+from coupling_ref import X, compensator_intensity
 from parasitelab import (OffspringLaw, harness, kretzschmar_modified,
                          luchsinger_linear, luchsinger_nonlinear)
+from parasitelab import coupling
 from parasitelab.coupling import CouplingState, simulate_coupled
 from parasitelab.harness import round_initial
 from parasitelab.ode import integrate
 from parasitelab.rates import ModelSpec
 from parasitelab.ssa import simulate
 from parasitelab.state import PopulationState
-from parasitelab.tilde import (concentration_check, mean_identity_check, moment_bound_check,
-                               simulate_tilde)
+from parasitelab.tilde import (DEATH, IMMIGRATION, MOVE, concentration_check,
+                               mean_identity_check, moment_bound_check, simulate_tilde)
 
 T = 1.0
 N_LIST = (20, 60)
@@ -161,7 +161,7 @@ def stream_digests(name: str) -> dict[str, str]:
                                    eval_times=EVAL_TIMES, record_trajectory=True)
             _update(h["coupled"], *_coupled_parts(run))
             _update(h["compensator"],
-                    *[compensator_intensity(model, state, t, N, sol)
+                    *[compensator_intensity(model, state, t, N, sol, 40)
                       for state in (start, run.final) for t in (0.0, T / 2, T)])
         out.update({f"{k}/N{N}": v.hexdigest() for k, v in h.items()})
     return out
@@ -203,8 +203,66 @@ def test_coupled_stream_grows_and_stops(name):
     h = hashlib.sha256()
     _update(h, *_coupled_parts(run), run.compensator_bound_ratio,
             run.compensator_bound_checked,
-            *[compensator_intensity(model, f, t, N, sol) for t in (0.0, T / 2, T)])
+            *[compensator_intensity(model, f, t, N, sol, 40) for t in (0.0, T / 2, T)])
     assert h.hexdigest() == expected
+
+
+def test_coupled_channel_census(monkeypatch):
+    # the pinned coupled cases reach every outcome of the basic coupling
+    # (each kind, proposed by either side) and every unpaired channel, so
+    # their digests pin each branch of the event update
+    seen = set()
+    pair, unpaired = coupling._pair_outcome, coupling._unpaired_target
+
+    def counted_pair(inter, kind, from_y, *args):
+        target, outcome = pair(inter, kind, from_y, *args)
+        seen.add((kind, from_y, outcome))
+        return target, outcome
+
+    def counted_unpaired(code, *args):
+        seen.add(code)
+        return unpaired(code, *args)
+
+    monkeypatch.setattr(coupling, "_pair_outcome", counted_pair)
+    monkeypatch.setattr(coupling, "_unpaired_target", counted_unpaired)
+    cases = [(make, x0, N, 54, seed) for make, x0 in MODELS.values()
+             for N in N_LIST for seed in SEEDS]
+    cases += [(make, x0, 8, J, seed) for make, x0, J, seed, _ in GROW_TAU_CASES.values()]
+    for make, x0, N, J, seed in cases:
+        model = make()
+        xi0 = round_initial(np.array(x0), N)
+        sol = integrate(model, xi0.to_dense().astype(np.float64) / N, T, J=J)
+        simulate_coupled(model, xi0, N, T, sol, seed)
+    outcomes = {False: ("matched", "surplus"), True: ("surplus", None)}
+    expected = {(kind, from_y, o) for kind in (MOVE, IMMIGRATION, DEATH)
+                for from_y in (False, True) for o in outcomes[from_y]}
+    assert expected | set(coupling._UNPAIRED) == seen
+
+
+@pytest.mark.parametrize("name", sorted(GROW_TAU_CASES))
+def test_engine_intensity_against_a_wider_reference(name):
+    # the engine truncates its target sums _ROW_MARGIN loads above the
+    # state's width.  A reference 200 loads wide bounds that sum from above
+    # (up to rounding); on kretzschmar_modified, whose rows carry no mass
+    # that far out, it is equal.  With _ROW_MARGIN = 0 it falls 14-32% short
+    # there
+    make, x0, J, seed, _ = GROW_TAU_CASES[name]
+    model, N = make(), 8
+    xi0 = round_initial(np.array(x0), N)
+    sol = integrate(model, xi0.to_dense().astype(np.float64) / N, T, J=J)
+    f = simulate_coupled(model, xi0, N, T, sol, seed).final
+    x_state = X(f)
+    width = max(x_state.max_load + 1, sol.J + 1)
+    x = x_state.to_dense(width) / N
+    for t in (0.0, T / 2, T):
+        y = np.zeros(width)
+        y[: sol.J + 1] = sol.density(t)
+        engine = coupling._intensity(model, f.Z1.to_dense(width), x, y, N,
+                                     width - 1 + coupling._ROW_MARGIN, {})
+        wide = compensator_intensity(model, f, t, N, sol, 200)
+        assert engine <= wide * (1.0 + 1e-12), t
+        if name == "kretzschmar_modified":
+            assert engine == pytest.approx(wide, rel=1e-12, abs=0.0), t
 
 
 # the three X~ checks on small instances of the three example models: the
