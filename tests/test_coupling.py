@@ -106,8 +106,9 @@ def test_compensator_matches_rate_mismatch(model61, sol61_T1):
 
 
 class _StubRates:
-    # pointwise rates A[l] at the density X_SIDE and B[l] at Y_SIDE, and
-    # targets uniform on 0..2; a death at load l has rates A[l] and B[l]
+    # pointwise rates A[l] at a density whose first entry is 0 (the X side)
+    # and B[l] at one whose first entry is 1 (the X~ side), and targets
+    # uniform on 0..2; a death at load l has rates A[l] and B[l]
     A, B = (1.0, 3.0, 2.0), (2.5, 1.0, 2.0)
 
     def _at(self, l, z):

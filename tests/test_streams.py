@@ -1,12 +1,13 @@
 """Pinned random streams of every engine, as SHA-256 digests.
 
 Each digest hashes the complete fixed-seed output of one engine on one
-example model, or on a variant of one, at one N, over several seeds: the ``PathRecord`` arrays of ``simulate`` and
-``simulate_tilde``; the evaluation-time values, tau, sup errors, event
-and ghost counts, the recorded V trajectory and the final
-four-component state of ``simulate_coupled``; and
-``compensator_intensity`` (``tests/coupling_ref.py``) at the initial and
-final coupled states.  A second coupled case also hashes the compensator bound ratio on runs that
+example model, or on a variant of one, at one N, over several seeds:
+the ``PathRecord`` arrays of ``simulate`` and ``simulate_tilde``; the
+evaluation-time values, tau, sup errors, event and ghost counts, the
+recorded V trajectory and the final four-component state of
+``simulate_coupled``; and ``compensator_intensity``
+(``tests/coupling_ref.py``) at the initial and final coupled states.  A
+second coupled case also hashes the compensator bound ratio on runs that
 grow their load arrays and reach tau before the horizon.  The last
 group hashes the CSV bodies that ``certify``, ``converge`` and
 ``couple`` write.  A refactor that claims to change no output must
